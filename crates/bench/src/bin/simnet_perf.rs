@@ -19,9 +19,16 @@
 //! simnet-perf [--out FILE] [--reps N] [--quick]
 //! ```
 //!
+//! A separate large-P `engine` row times the simulator itself at
+//! P = 4096: building a world (`SimWorld::new`, O(P) since the engine
+//! holds no `p × p` table) and the events/s of a reused world running a
+//! dissemination barrier, each an interval estimate under its own
+//! manifest.
+//!
 //! `--quick` shrinks the schedule to a CI-sized parity smoke test: the
 //! bit-parity assertions still run on every matrix entry, but with the
-//! reduced [`ProfilingConfig::fast`] schedule and a tiny rep budget.
+//! reduced [`ProfilingConfig::fast`] schedule, a tiny rep budget, and the
+//! engine row at P = 1024.
 
 use hbar_bench::baseline_engine::{measure_profile_baseline, BaselineNoise};
 use hbar_bench::perf_cli::PerfArgs;
@@ -38,6 +45,11 @@ use std::hint::black_box;
 
 const RANKS: [usize; 3] = [8, 16, 32];
 const SEED: u64 = 42;
+/// Rank count of the large-P engine row (`--quick`: [`ENGINE_RANKS_QUICK`]).
+const ENGINE_RANKS: usize = 4096;
+const ENGINE_RANKS_QUICK: usize = 1024;
+/// Barrier repetitions per engine-row run.
+const ENGINE_BARRIER_REPS: usize = 5;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -79,6 +91,55 @@ fn events_per_sec(
         events / run_time.ci_hi,
         events / run_time.ci_lo,
     )
+}
+
+/// The large-P engine row: construction time of a P-rank world and the
+/// events/s of a reused world running a dissemination barrier.
+fn engine_row(p: usize, adaptive: &hbar_bench::stats::AdaptiveConfig) -> Value {
+    let cfg = SimConfig {
+        machine: MachineSpec::new(p / 8, 2, 4),
+        mapping: RankMapping::Block,
+        noise: NoiseModel::realistic(SEED),
+    };
+    let construct = time_estimate(adaptive, 1, || {
+        black_box(SimWorld::new(black_box(cfg.clone()), p));
+    });
+    let members: Vec<usize> = (0..p).collect();
+    let sched = Algorithm::Dissemination.full_schedule(p, &members);
+    let programs = schedule_programs(&sched, ENGINE_BARRIER_REPS);
+    let mut world = SimWorld::new(cfg, p);
+    // Warm the slot pool once so the figure reflects steady-state reuse.
+    let events = world.run(&programs).expect("barrier runs").events as f64;
+    let run = time_estimate(adaptive, 1, || {
+        black_box(world.run(&programs).expect("barrier runs"));
+    });
+    println!(
+        "engine P={p}: SimWorld::new {:.3} ms, run {:.3} ms, {:.2}M events/s",
+        construct.median * 1e3,
+        run.median * 1e3,
+        events / run.median / 1e6
+    );
+    let manifest = RunManifest::capture(
+        "engine_large_p",
+        SEED,
+        &format!("dissemination barrier x{ENGINE_BARRIER_REPS} on a reused world"),
+        &format!("dual quad-core nodes (P/8), block placement, P = {p}, NoiseModel::realistic"),
+        EstimatorSettings::for_adaptive(adaptive),
+    );
+    obj(vec![
+        ("ranks", Value::UInt(p as u64)),
+        ("manifest", manifest.to_value()),
+        ("construct_s", Value::Float(construct.median)),
+        ("construct", construct.to_value()),
+        ("run_s", Value::Float(run.median)),
+        ("run", run.to_value()),
+        ("events", Value::Float(events)),
+        // Events per run are deterministic, so the throughput CI is the
+        // reciprocal image of the run-time CI.
+        ("events_per_sec", Value::Float(events / run.median)),
+        ("events_per_sec_ci_lo", Value::Float(events / run.ci_hi)),
+        ("events_per_sec_ci_hi", Value::Float(events / run.ci_lo)),
+    ])
 }
 
 fn main() {
@@ -181,6 +242,15 @@ fn main() {
         ]));
     }
 
+    let engine = engine_row(
+        if args.quick {
+            ENGINE_RANKS_QUICK
+        } else {
+            ENGINE_RANKS
+        },
+        &adaptive,
+    );
+
     let manifest = RunManifest::capture(
         "measure_profile",
         SEED,
@@ -209,9 +279,10 @@ fn main() {
             "after",
             Value::Str(
                 "reusable engine: arenas built once per pair and reset between runs, \
-                 radix-heap event queue, flat index-based matching pools cleared \
-                 O(touched), Copy instructions with interned mark labels, in-place \
-                 program rebuilds via PairBench, ziggurat noise sampler"
+                 radix-heap event queue, class-indexed link costs and a sparse \
+                 pair-slot matching pool recycled between runs, Copy instructions \
+                 with interned mark labels, in-place program rebuilds via \
+                 PairBench, ziggurat noise sampler"
                     .to_string(),
             ),
         ),
@@ -246,6 +317,7 @@ fn main() {
             ),
         ),
         ("results", Value::Array(rows)),
+        ("engine", engine),
     ]);
     let json = serde_json::to_string_pretty(&doc).expect("serialize");
     std::fs::write(&args.out, json + "\n").expect("write BENCH_simnet.json");

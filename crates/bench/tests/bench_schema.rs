@@ -294,6 +294,56 @@ fn scale_document_meets_the_memory_wall_objectives() {
     );
 }
 
+/// The simnet document carries the large-P engine row: world
+/// construction and reused-world throughput at P ≥ 1024, each an
+/// interval estimate under its own manifest. Construction must cost less
+/// than one barrier run — an engine that builds `p × p` tables fails
+/// this (at P = 4096 construction took seconds against a run's ~0.1 s).
+#[test]
+fn simnet_document_carries_the_large_p_engine_row() {
+    let name = "BENCH_simnet.json";
+    let (_, doc) = bench_documents()
+        .into_iter()
+        .find(|(path, _)| path.file_name().is_some_and(|n| n == name))
+        .unwrap_or_else(|| panic!("{name} missing from the repo root"));
+    let row = field(&doc, "engine", name);
+    let ctx = format!("{name}:engine");
+    let float = |key: &str| {
+        f64::from_value(field(row, key, &ctx))
+            .unwrap_or_else(|e| panic!("{ctx}: `{key}` not a number: {e}"))
+    };
+    let manifest = RunManifest::from_value(field(row, "manifest", &ctx))
+        .unwrap_or_else(|e| panic!("{ctx}: bad manifest: {e}"));
+    assert_eq!(
+        manifest.schema_version, SCHEMA_VERSION,
+        "{ctx}: stale schema"
+    );
+    assert!(float("ranks") >= 1024.0, "{ctx}: not a large-P row");
+    let estimate = |key: &str| {
+        let est = Estimate::from_value(field(row, key, &ctx))
+            .unwrap_or_else(|e| panic!("{ctx}: `{key}` is not an Estimate: {e}"));
+        assert!(
+            est.n >= 1 && est.ci_lo <= est.median && est.median <= est.ci_hi,
+            "{ctx}: `{key}` malformed estimate"
+        );
+        est
+    };
+    let construct = estimate("construct");
+    let run = estimate("run");
+    assert!(
+        construct.median < run.median,
+        "{ctx}: construction {}s is not below one run's {}s",
+        construct.median,
+        run.median
+    );
+    let eps = float("events_per_sec");
+    let (lo, hi) = (float("events_per_sec_ci_lo"), float("events_per_sec_ci_hi"));
+    assert!(
+        float("events") > 0.0 && lo <= eps && eps <= hi,
+        "{ctx}: events/s {eps} outside its CI [{lo}, {hi}]"
+    );
+}
+
 #[test]
 fn every_result_row_carries_interval_estimates() {
     for (path, doc) in bench_documents() {

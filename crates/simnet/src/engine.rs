@@ -28,21 +28,42 @@
 //! without occupying the CPU resource (message progress continues, as
 //! with an MPI progress thread).
 //!
+//! ## Per-pair state
+//!
+//! Nothing in the engine is sized `p × p`. Link charges depend only on a
+//! pair's [`LinkClass`], so they live in a three-entry table indexed by
+//! class, resolved from the two ranks' placements when a pair is first
+//! used. Matching state lives in a sparse pool: a slot arena plus a map
+//! from the packed key `dst * p + src` to a slot, where a slot is
+//! allocated on a pair's first use and carries the pair's charges next to
+//! its FIFO. A barrier touches O(p log p) pairs, so memory is
+//! O(p + pairs used) — a few MiB where dense tables needed gigabytes at
+//! p = 4096 — and building an engine is O(p).
+//!
+//! Each `Issend` and `Irecv` resolves its slot once: from the rank's
+//! hint when it repeats its last peer in that role (bursts, ping-pongs),
+//! else by one map lookup. The arrival event carries the slot index in
+//! its payload, so delivery needs none. The keys are dense small
+//! integers, so the map uses a multiplicative hasher: one multiply
+//! instead of SipHash's rounds, on a path a large barrier takes for
+//! nearly every message.
+//!
 //! ## Reuse lifecycle
 //!
 //! An `Engine` is built **once** per placement ([`Engine::new`] takes the
 //! core list and ground truth) and then runs arbitrarily many program
 //! sets: [`run`](Engine::run) borrows a program slice, [`reset`]s the
 //! per-run state, and interprets instructions **by value** (`Instr` is
-//! `Copy`; mark labels are interned ids). All per-run state lives in
-//! arenas sized at construction — the event queue, per-process interpreter
-//! states, per-resource clocks, and a flat `p × p` pool of head-indexed
-//! FIFO queues for posted/ready message matching — and is cleared in
-//! O(touched) between runs, so the hot loop performs no heap allocation
-//! after warm-up. Results are bit-identical to a freshly constructed
-//! engine: event ordering depends only on `(time, seq)` and `seq` restarts
-//! at zero each run, so the deterministic noise stream is consumed in the
-//! same order.
+//! `Copy`; mark labels are interned ids). Per-run state — the event queue,
+//! per-process interpreter states and per-resource clocks — is cleared
+//! between runs without releasing capacity. Slots outlive runs: a
+//! completed run drains every pair FIFO (each request completes only by a
+//! match), so a reset touches no slot unless the last run deadlocked, and
+//! a warm engine that reruns the same pairs neither inserts into the map
+//! nor allocates. Results are bit-identical to a
+//! freshly constructed engine: event ordering depends only on
+//! `(time, seq)` and `seq` restarts at zero each run, so the
+//! deterministic noise stream is consumed in the same order.
 //!
 //! [`reset`]: Engine::reset
 
@@ -51,6 +72,8 @@ use crate::program::{Instr, LabelId, Program};
 use crate::trace::{Trace, TraceEvent};
 use crate::Time;
 use hbar_topo::machine::{CoreId, GroundTruth, LinkClass};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A serial resource reserved in event-time order.
 #[derive(Clone, Copy, Debug, Default)]
@@ -74,20 +97,26 @@ const TAG_ARRIVE: u32 = 1;
 const TAG_RECV_DONE: u32 = 2;
 const TAG_SEND_DONE: u32 = 3;
 
-/// Rank-field width in a packed event payload (two ranks + a 2-bit tag
-/// must fit in 32 bits).
-const RANK_BITS: u32 = 15;
-const RANK_MASK: u32 = (1 << RANK_BITS) - 1;
+/// Argument width in a packed event payload: a rank, or for arrivals a
+/// pair-slot index (< p², so 30 bits hold any slot of a 32768-rank
+/// engine), below a 2-bit tag.
+const ARG_BITS: u32 = 30;
+const ARG_MASK: u32 = (1 << ARG_BITS) - 1;
 
-/// Packs `(tag, dst, src)` into an event payload word.
+/// The largest rank count whose packed pair keys and slot indices fit
+/// the argument field.
+const MAX_RANKS: usize = 1 << (ARG_BITS / 2);
+
+/// Packs `(tag, arg)` into an event payload word.
 #[inline]
-fn payload(tag: u32, dst: usize, src: usize) -> u32 {
-    (tag << (2 * RANK_BITS)) | ((dst as u32) << RANK_BITS) | src as u32
+fn payload(tag: u32, arg: usize) -> u32 {
+    debug_assert!(arg <= ARG_MASK as usize, "event argument {arg} overflows");
+    (tag << ARG_BITS) | arg as u32
 }
 
 /// A popped queue entry. `key` carries the tie-breaking sequence number
-/// in its high half and the packed `(tag, dst, src)` payload in its low
-/// half; in the queue both words live in one `u128` (`time` on top) whose
+/// in its high half and the packed `(tag, arg)` payload in its low half;
+/// in the queue both words live in one `u128` (`time` on top) whose
 /// integer order is exactly the engine's `(time, seq)` event order, since
 /// sequence numbers are unique.
 #[derive(Clone, Copy, Debug)]
@@ -99,17 +128,13 @@ struct Event {
 impl Event {
     #[inline]
     fn tag(&self) -> u32 {
-        self.key as u32 >> (2 * RANK_BITS)
+        self.key as u32 >> ARG_BITS
     }
 
+    /// The rank (or, for arrivals, the pair slot) the event concerns.
     #[inline]
-    fn src(&self) -> usize {
-        (self.key as u32 & RANK_MASK) as usize
-    }
-
-    #[inline]
-    fn dst(&self) -> usize {
-        ((self.key as u32 >> RANK_BITS) & RANK_MASK) as usize
+    fn arg(&self) -> usize {
+        (self.key as u32 & ARG_MASK) as usize
     }
 }
 
@@ -213,9 +238,8 @@ impl EventQueue {
     }
 }
 
-/// Precomputed per-(src,dst) link charges: one cache line resolves what
-/// previously took a `CoreId` comparison plus a `GroundTruth` match per
-/// instruction.
+/// Link charges of one link class, precomputed so a message resolves
+/// its costs from one small struct instead of a `GroundTruth` match.
 #[derive(Clone, Copy, Debug)]
 struct PairCost {
     inter_node: bool,
@@ -226,6 +250,21 @@ struct PairCost {
     nic_rx_ns: Time,
     wire_ns: Time,
     ns_per_byte: f64,
+}
+
+impl PairCost {
+    fn new(gt: &GroundTruth, class: LinkClass) -> Self {
+        let lc = gt.link(class);
+        PairCost {
+            inter_node: class == LinkClass::InterNode,
+            inject_ns: gt.call_overhead_ns + lc.cpu_send_ns,
+            cpu_recv_ns: lc.cpu_recv_ns,
+            nic_tx_ns: lc.nic_tx_ns,
+            nic_rx_ns: lc.nic_rx_ns,
+            wire_ns: lc.wire_ns,
+            ns_per_byte: lc.ns_per_byte,
+        }
+    }
 }
 
 /// Per-process interpreter state, reused across runs.
@@ -254,42 +293,79 @@ impl ProcState {
     }
 }
 
-/// Head-indexed FIFO queues for one `(dst, src)` pair: posted, unmatched
-/// receives (post times) and arrived, unmatched messages (availability
-/// times; the link class is implied by the pair). Pops advance a head
-/// index instead of shifting, so entries stay in place and the backing
-/// storage is reused run after run.
-#[derive(Clone, Debug, Default)]
-struct PairQueue {
-    posted: Vec<Time>,
-    posted_head: usize,
-    ready: Vec<Time>,
-    ready_head: usize,
-    /// Set on first use in a run; indexes the engine's touched list.
-    touched: bool,
+/// Matching state of one `src → dst` pair: the pair's link charges and a
+/// head-indexed FIFO of unmatched entries. A pair never holds posted
+/// receives and arrived messages at once (either would have matched the
+/// other), so one FIFO serves both and `posted` says which it holds. Pops
+/// advance a head index instead of shifting, and a drained FIFO rewinds,
+/// so its storage stays small and is reused run after run.
+#[derive(Clone, Debug)]
+struct PairSlot {
+    src: u32,
+    dst: u32,
+    cost: PairCost,
+    /// Post times of unmatched receives (`posted`) or availability times
+    /// of unmatched messages.
+    pending: Vec<Time>,
+    head: usize,
+    posted: bool,
 }
 
-impl PairQueue {
+impl PairSlot {
+    /// Pops the oldest entry if the FIFO holds entries of kind `posted`.
     #[inline]
-    fn pop_posted(&mut self) -> Option<Time> {
-        let v = self.posted.get(self.posted_head).copied()?;
-        self.posted_head += 1;
+    fn pop(&mut self, posted: bool) -> Option<Time> {
+        if self.posted != posted {
+            return None;
+        }
+        let v = self.pending.get(self.head).copied()?;
+        self.head += 1;
+        if self.head == self.pending.len() {
+            self.pending.clear();
+            self.head = 0;
+        }
         Some(v)
     }
 
+    /// Queues an entry of kind `posted`. Callers push only after a
+    /// [`pop`](Self::pop) of the other kind found nothing, so the FIFO
+    /// never mixes kinds.
     #[inline]
-    fn pop_ready(&mut self) -> Option<Time> {
-        let v = self.ready.get(self.ready_head).copied()?;
-        self.ready_head += 1;
-        Some(v)
+    fn push(&mut self, posted: bool, t: Time) {
+        debug_assert!(self.pending.is_empty() || self.posted == posted);
+        self.posted = posted;
+        self.pending.push(t);
+    }
+}
+
+/// Which end of a pair looks its slot up (see [`Engine::slot`]).
+const SEND: usize = 0;
+const RECV: usize = 1;
+
+/// Multiplicative hasher for packed pair keys: the keys are dense small
+/// integers, so one multiply by the 64-bit golden ratio (Fibonacci
+/// hashing) spreads them, and folding the high half down feeds the mixed
+/// bits to both the bucket index (low bits) and the control tag (top bits)
+/// of the std map.
+#[derive(Clone, Copy, Debug, Default)]
+struct PairKeyHasher(u64);
+
+impl Hasher for PairKeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
     }
 
-    fn clear(&mut self) {
-        self.posted.clear();
-        self.posted_head = 0;
-        self.ready.clear();
-        self.ready_head = 0;
-        self.touched = false;
+    #[inline]
+    fn write_u32(&mut self, k: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(k)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
     }
 }
 
@@ -336,17 +412,23 @@ pub struct Engine {
     nic_tx: Vec<Resource>,
     nic_rx: Vec<Resource>,
     queue: EventQueue,
-    /// Flat `p × p` matching pools, indexed `dst * p + src`.
-    pairs: Vec<PairQueue>,
-    /// Flat `p × p` link charges, indexed `dst * p + src` (symmetric, so
-    /// the same index convention as `pairs` serves both directions).
-    costs: Vec<PairCost>,
+    /// Link charges indexed by `LinkClass as usize`.
+    class_cost: [PairCost; 3],
+    /// Slot of each pair used so far, keyed `dst * p + src`.
+    slot_of: HashMap<u32, u32, BuildHasherDefault<PairKeyHasher>>,
+    slots: Vec<PairSlot>,
+    /// Per rank and side (`2 * rank + SEND|RECV`): the last peer it used
+    /// in that role and the pair's slot. Slots are never freed, so a hint
+    /// stays valid across runs.
+    hints: Vec<(u32, u32)>,
+    /// Whether every pair FIFO is empty: true after a completed run (each
+    /// request completes only by a match), false during a run and after
+    /// one that deadlocked or panicked.
+    drained: bool,
     /// Node of each rank's core (for the shared NIC resources).
     node: Vec<u32>,
     /// Cached `GroundTruth::call_overhead_ns`.
     overhead_ns: Time,
-    /// Pair indices dirtied during the current run (cleared on reset).
-    touched: Vec<usize>,
     seq: u32,
     noise: NoiseState,
     events: u64,
@@ -355,47 +437,30 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine for processes pinned to `cores`, sizing every
-    /// arena for `cores.len()` ranks. The engine holds no programs;
-    /// [`run`](Self::run) borrows them per run.
+    /// per-rank arena for `cores.len()` ranks in O(p) time and memory.
+    /// The engine holds no programs; [`run`](Self::run) borrows them per
+    /// run.
     ///
     /// # Panics
-    /// Panics if the rank count exceeds the packed-event rank field
+    /// Panics if the rank count exceeds the packed-event argument field
     /// (32768 ranks — far beyond the paper's scale).
     pub fn new(cores: Vec<CoreId>, gt: GroundTruth) -> Self {
         let p = cores.len();
-        assert!(
-            p <= RANK_MASK as usize + 1,
-            "engine supports at most {} ranks",
-            RANK_MASK as usize + 1
-        );
+        assert!(p <= MAX_RANKS, "engine supports at most {MAX_RANKS} ranks");
         let max_node = cores.iter().map(|c| c.node).max().unwrap_or(0);
-        let mut costs = Vec::with_capacity(p * p);
-        for dst in 0..p {
-            for src in 0..p {
-                let class = cores[dst].link_class(&cores[src]);
-                let lc = gt.link(class);
-                costs.push(PairCost {
-                    inter_node: class == LinkClass::InterNode,
-                    inject_ns: gt.call_overhead_ns + lc.cpu_send_ns,
-                    cpu_recv_ns: lc.cpu_recv_ns,
-                    nic_tx_ns: lc.nic_tx_ns,
-                    nic_rx_ns: lc.nic_rx_ns,
-                    wire_ns: lc.wire_ns,
-                    ns_per_byte: lc.ns_per_byte,
-                });
-            }
-        }
         Engine {
             procs: vec![ProcState::default(); p],
             cpu: vec![Resource::default(); p],
             nic_tx: vec![Resource::default(); max_node + 1],
             nic_rx: vec![Resource::default(); max_node + 1],
             queue: EventQueue::default(),
-            pairs: vec![PairQueue::default(); p * p],
-            costs,
+            class_cost: LinkClass::ALL.map(|class| PairCost::new(&gt, class)),
+            slot_of: HashMap::default(),
+            slots: Vec::new(),
+            hints: vec![(u32::MAX, 0); 2 * p],
+            drained: true,
             node: cores.iter().map(|c| c.node as u32).collect(),
             overhead_ns: gt.call_overhead_ns,
-            touched: Vec::new(),
             seq: 0,
             noise: NoiseState::new(NoiseModel::none(), 0),
             events: 0,
@@ -427,10 +492,10 @@ impl Engine {
     }
 
     /// Clears all per-run state — event queue, interpreter states,
-    /// resource clocks, and every matching pool dirtied by the previous
-    /// run (O(touched), not O(p²)) — and validates `programs` against the
-    /// placement. Arenas retain their capacity, so a reset-and-run cycle
-    /// allocates nothing once warm.
+    /// resource clocks, and the pair FIFOs unless the last run completed
+    /// and so drained them — and validates `programs` against the
+    /// placement. Arenas and slots retain their capacity, so a
+    /// reset-and-run cycle allocates nothing once warm.
     ///
     /// # Panics
     /// Panics if the program count differs from the rank count, if any
@@ -466,10 +531,12 @@ impl Engine {
             r.free_at = 0;
         }
         self.queue.clear();
-        for &idx in &self.touched {
-            self.pairs[idx].clear();
+        if !self.drained {
+            for slot in &mut self.slots {
+                slot.pending.clear();
+                slot.head = 0;
+            }
         }
-        self.touched.clear();
         self.seq = 0;
         self.events = 0;
         if let Some(t) = &mut self.trace {
@@ -491,17 +558,46 @@ impl Engine {
             .push((time as u128) << 64 | (self.seq as u128) << 32 | payload as u128);
     }
 
-    /// The matching pool for messages `src → dst`, marked touched so the
-    /// next [`reset`](Self::reset) clears it.
+    /// The slot of pair `src → dst`, looked up by the rank on side `side`
+    /// of it (`SEND`: `src`, `RECV`: `dst`). A rank that repeats its last
+    /// peer in that role (a burst, a ping-pong) hits its hint; otherwise
+    /// one map lookup finds the slot, allocating one — charged by the
+    /// pair's link class — on the pair's first use ever.
     #[inline]
-    fn pair_mut(&mut self, dst: usize, src: usize) -> &mut PairQueue {
-        let idx = dst * self.procs.len() + src;
-        let q = &mut self.pairs[idx];
-        if !q.touched {
-            q.touched = true;
-            self.touched.push(idx);
+    fn slot(&mut self, dst: usize, src: usize, side: usize) -> usize {
+        let (rank, peer) = if side == SEND { (src, dst) } else { (dst, src) };
+        let hint = self.hints[2 * rank + side];
+        if hint.0 == peer as u32 {
+            return hint.1 as usize;
         }
-        &mut self.pairs[idx]
+        let s = self.lookup(dst, src);
+        self.hints[2 * rank + side] = (peer as u32, s as u32);
+        s
+    }
+
+    /// The map lookup behind [`slot`](Self::slot), kept out of line so
+    /// the hinted hot path stays small.
+    #[inline(never)]
+    fn lookup(&mut self, dst: usize, src: usize) -> usize {
+        let key = (dst * self.procs.len() + src) as u32;
+        let Engine {
+            slot_of,
+            slots,
+            cores,
+            class_cost,
+            ..
+        } = self;
+        *slot_of.entry(key).or_insert_with(|| {
+            slots.push(PairSlot {
+                src: src as u32,
+                dst: dst as u32,
+                cost: class_cost[cores[dst].link_class(&cores[src]) as usize],
+                pending: Vec::new(),
+                head: 0,
+                posted: false,
+            });
+            (slots.len() - 1) as u32
+        }) as usize
     }
 
     /// Runs one program per rank to completion with the given per-run
@@ -558,10 +654,11 @@ impl Engine {
         noise: NoiseState,
     ) -> Result<(), SimDeadlock> {
         self.reset(programs);
+        self.drained = false;
         self.noise = noise;
         let p = self.p();
         for r in 0..p {
-            self.schedule(0, payload(TAG_RESUME, 0, r));
+            self.schedule(0, payload(TAG_RESUME, r));
         }
         while let Some(v) = self.queue.pop() {
             let ev = Event {
@@ -570,10 +667,10 @@ impl Engine {
             };
             self.events += 1;
             match ev.tag() {
-                TAG_RESUME => self.run_program(programs, ev.src(), ev.time),
+                TAG_RESUME => self.run_program(programs, ev.arg(), ev.time),
                 TAG_ARRIVE => {
-                    let (src, dst) = (ev.src(), ev.dst());
-                    let c = self.costs[dst * p + src];
+                    let slot = &self.slots[ev.arg()];
+                    let (src, dst, c) = (slot.src as usize, slot.dst as usize, slot.cost);
                     // NIC RX serialization for inter-node traffic.
                     let available = if c.inter_node {
                         let dur = self.noise.sample(c.nic_rx_ns);
@@ -586,14 +683,16 @@ impl Engine {
                         src,
                         dst,
                     });
-                    if let Some(post_time) = self.pair_mut(dst, src).pop_posted() {
-                        self.complete_match(src, dst, c, available.max(post_time));
-                    } else {
-                        self.pair_mut(dst, src).ready.push(available);
+                    let slot = &mut self.slots[ev.arg()];
+                    match slot.pop(true) {
+                        Some(post_time) => {
+                            self.complete_match(src, dst, c, available.max(post_time))
+                        }
+                        None => slot.push(false, available),
                     }
                 }
                 _ => {
-                    let proc = ev.src();
+                    let proc = ev.arg();
                     let pr = &mut self.procs[proc];
                     debug_assert!(pr.outstanding > 0, "completion without outstanding request");
                     pr.outstanding -= 1;
@@ -614,6 +713,11 @@ impl Engine {
         if !stuck.is_empty() {
             return Err(SimDeadlock { stuck });
         }
+        debug_assert!(
+            self.slots.iter().all(|s| s.pending.is_empty()),
+            "a completed run left unmatched entries"
+        );
+        self.drained = true;
         Ok(())
     }
 
@@ -623,7 +727,7 @@ impl Engine {
     fn complete_match(&mut self, src: usize, dst: usize, c: PairCost, at: Time) {
         let dur = self.noise.sample(c.cpu_recv_ns);
         let done = self.cpu[dst].acquire(at, dur);
-        self.schedule(done, payload(TAG_RECV_DONE, 0, dst));
+        self.schedule(done, payload(TAG_RECV_DONE, dst));
         self.record(TraceEvent::RecvCompleted {
             time: done,
             src,
@@ -631,7 +735,7 @@ impl Engine {
         });
         // Acknowledgement back to the synchronous sender: one wire delay.
         let ack = self.noise.sample(c.wire_ns);
-        self.schedule(done + ack, payload(TAG_SEND_DONE, 0, src));
+        self.schedule(done + ack, payload(TAG_SEND_DONE, src));
         self.record(TraceEvent::SendCompleted {
             time: done + ack,
             src,
@@ -664,7 +768,7 @@ impl Engine {
             match instrs[pr.pc] {
                 Instr::Delay { ns } => {
                     self.procs[proc].pc += 1;
-                    self.schedule(now + ns, payload(TAG_RESUME, 0, proc));
+                    self.schedule(now + ns, payload(TAG_RESUME, proc));
                     return;
                 }
                 Instr::Mark { label } => {
@@ -690,15 +794,19 @@ impl Engine {
                     now = self.cpu[proc].acquire(now, dur);
                     self.procs[proc].pc += 1;
                     self.procs[proc].outstanding += 1;
-                    if let Some(available) = self.pair_mut(proc, src).pop_ready() {
-                        let c = self.costs[proc * self.procs.len() + src];
-                        self.complete_match(src, proc, c, available.max(now));
-                    } else {
-                        self.pair_mut(proc, src).posted.push(now);
+                    let s = self.slot(proc, src, RECV);
+                    let slot = &mut self.slots[s];
+                    match slot.pop(false) {
+                        Some(available) => {
+                            let c = slot.cost;
+                            self.complete_match(src, proc, c, available.max(now));
+                        }
+                        None => slot.push(true, now),
                     }
                 }
                 Instr::Issend { dst, bytes } => {
-                    let c = self.costs[dst * self.procs.len() + proc];
+                    let s = self.slot(dst, proc, SEND);
+                    let c = self.slots[s].cost;
                     let inject = self.noise.sample(c.inject_ns);
                     now = self.cpu[proc].acquire(now, inject);
                     self.record(TraceEvent::SendInjected {
@@ -720,7 +828,7 @@ impl Engine {
                         c.wire_ns + (bytes as f64 * c.ns_per_byte).round() as Time
                     };
                     let wire = self.noise.sample(wire_ns);
-                    self.schedule(after_tx + wire, payload(TAG_ARRIVE, dst, proc));
+                    self.schedule(after_tx + wire, payload(TAG_ARRIVE, s));
                 }
             }
         }
@@ -983,6 +1091,29 @@ mod tests {
             assert_eq!(a.events, b.events, "salt {salt}");
             assert_eq!(a.marks, b.marks, "salt {salt}");
         }
+    }
+
+    #[test]
+    fn deadlock_leftovers_never_match_in_the_next_run() {
+        // A deadlocked run strands a posted receive (then an arrived
+        // message) on pair 1 → 0; the next run on the same pair must
+        // behave as on a fresh engine, not match the stale entry.
+        let m = MachineSpec::new(1, 1, 2);
+        let mut eng = engine_for(&m, &[0, 1]);
+        let stranded_recv = [Program::new().irecv(1).wait_all(), Program::new()];
+        assert!(eng.run(&stranded_recv, exact()).is_err());
+        let pair = [
+            Program::new().irecv(1).wait_all(),
+            Program::new().issend(0).wait_all(),
+        ];
+        let fresh = engine_for(&m, &[0, 1]).run(&pair, exact()).unwrap();
+        assert_eq!(eng.run(&pair, exact()).unwrap().finish, fresh.finish);
+        let stranded_msg = [Program::new(), Program::new().issend(0).wait_all()];
+        assert!(eng.run(&stranded_msg, exact()).is_err());
+        assert!(
+            eng.run(&stranded_recv, exact()).is_err(),
+            "the receive matched a message from the previous run"
+        );
     }
 
     #[test]

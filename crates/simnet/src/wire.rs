@@ -21,7 +21,9 @@
 //!
 //! Every decoder is total: corrupt tags, truncated payloads, and
 //! oversized lengths return `InvalidData` errors instead of panicking, so
-//! a confused peer can never take the driver down.
+//! a confused peer can never take the driver down. The frame reader grows
+//! its buffer only as body bytes arrive, so a declared length alone
+//! cannot make it allocate.
 
 use crate::noise::NoiseModel;
 use crate::profiling::ProfilingConfig;
@@ -49,6 +51,11 @@ pub const FRAME_DRAIN: u8 = 0x05;
 /// Upper bound on accepted payload length (guards against garbage length
 /// prefixes allocating unbounded memory).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
+
+/// Largest step by which [`read_frame_into`] grows its buffer ahead of
+/// the bytes that fill it: a declared length is only a claim, so a frame
+/// costs at most this much memory beyond what the peer actually sent.
+pub const READ_CHUNK: usize = 64 << 10;
 
 /// Bytes of one encoded descriptor.
 pub const DESCRIPTOR_WIRE_LEN: usize = 33;
@@ -107,6 +114,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
 /// `hbar serve` call this with one long-lived buffer, so steady-state
 /// frame reads perform zero heap allocation once the buffer has grown
 /// to the session's largest frame.
+///
+/// The body is read in [`READ_CHUNK`] steps and the buffer grows only as
+/// bytes arrive, so a header that declares a large length and then
+/// stalls or disconnects pins one chunk, not the declared length. A
+/// short body is `UnexpectedEof`; on any error the buffer's contents are
+/// unspecified.
 pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<u8> {
     let mut head = [0u8; 5];
     r.read_exact(&mut head)?;
@@ -119,8 +132,11 @@ pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<u
         ));
     }
     payload.clear();
-    payload.resize(len, 0);
-    r.read_exact(payload)?;
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_CHUNK), 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     Ok(tag)
 }
 
@@ -367,6 +383,35 @@ mod tests {
         let mut buf = vec![FRAME_BATCH];
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert!(read_frame(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn declared_length_is_not_trusted_before_the_body_arrives() {
+        // A header claiming the maximum frame, then EOF: an error, with
+        // the buffer grown by at most one chunk.
+        let mut buf = vec![FRAME_BATCH];
+        buf.extend_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        let mut payload = Vec::new();
+        let err = read_frame_into(&mut &buf[..], &mut payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(payload.capacity() <= READ_CHUNK, "{}", payload.capacity());
+        // A body cut short past the first chunk is also an error.
+        buf.resize(buf.len() + READ_CHUNK + 7, 0x5A);
+        let err = read_frame_into(&mut &buf[..], &mut payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn multi_chunk_frame_roundtrips() {
+        let body: Vec<u8> = (0..3 * READ_CHUNK + 11).map(|i| (i % 251) as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FRAME_RESULT, &body).unwrap();
+        let mut payload = vec![0xAA; 5];
+        assert_eq!(
+            read_frame_into(&mut &buf[..], &mut payload).unwrap(),
+            FRAME_RESULT
+        );
+        assert_eq!(payload, body);
     }
 
     #[test]

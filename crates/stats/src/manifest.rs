@@ -250,10 +250,7 @@ mod tests {
     #[test]
     fn peak_rss_gauge_is_sane_on_linux() {
         let Some(peak) = peak_rss_bytes() else {
-            assert!(
-                std::env::consts::OS != "linux",
-                "VmHWM must gauge on linux"
-            );
+            assert!(std::env::consts::OS != "linux", "VmHWM must gauge on linux");
             return;
         };
         // A running test process has touched at least a few hundred KiB
