@@ -5,9 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
 use hbar_simnet::barrier::schedule_programs;
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
+use hbar_simnet::profiling::ProfilingConfig;
 use hbar_simnet::world::{SimConfig, SimWorld};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{
+    measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig,
+};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use std::hint::black_box;
@@ -39,25 +41,33 @@ fn bench_engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full profiling sweep on the reduced schedule: the end-to-end path
-/// the BENCH_simnet harness measures, at criterion-friendly size.
+/// The exhaustive (exact-class) profiling sweep on the reduced schedule:
+/// the end-to-end path the BENCH_simnet harness measures, at
+/// criterion-friendly size.
 fn bench_profile_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile_sweep");
     group.sample_size(10);
-    let cfg = ProfilingConfig::fast();
+    let cfg = SweepConfig::exact(ProfilingConfig::fast());
     let noise = NoiseModel::realistic(42);
     let mapping = RankMapping::RoundRobin;
+    let spill = SpillConfig::in_memory(std::env::temp_dir());
     for p in [8usize, 16] {
         let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
+        let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
         group.bench_with_input(BenchmarkId::new("fast", p), &machine, |b, machine| {
             b.iter(|| {
-                black_box(measure_profile(
-                    black_box(machine),
-                    &mapping,
-                    p,
-                    noise,
-                    &cfg,
-                ))
+                black_box(
+                    measure_profile_compressed(
+                        black_box(machine),
+                        &mapping,
+                        p,
+                        noise,
+                        &cfg,
+                        &spill,
+                        &mut executor,
+                    )
+                    .expect("local sweep"),
+                )
             })
         });
     }

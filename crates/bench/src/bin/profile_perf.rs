@@ -1,12 +1,13 @@
-//! Decomposed-profiling-sweep regression harness.
+//! Profiling-sweep regression harness.
 //!
-//! Gates the clustered sweep (`measure_profile_clustered`) against the
+//! Gates the sweep (`measure_profile_compressed` on a local executor,
+//! expanded with `to_dense()` for comparison) against the
 //! frozen exhaustive baseline
 //! (`hbar_bench::baseline_profile::measure_profile_exhaustive_baseline`)
 //! and records the results to `BENCH_profile.json`:
 //!
 //! 1. **Bit-parity** — in the singleton-class regime
-//!    (`SweepConfig::exact`) the clustered sweep must reproduce the
+//!    (`SweepConfig::exact`) the sweep must reproduce the
 //!    frozen exhaustive sweep bit for bit (asserted entry by entry before
 //!    any timing is reported).
 //! 2. **Error bound** — with topology classing, every `(O, L)` entry must
@@ -38,11 +39,13 @@ use hbar_bench::baseline_profile::measure_profile_exhaustive_baseline;
 use hbar_bench::perf_cli::PerfArgs;
 use hbar_bench::stats::{ratio_interval, time_estimate, EstimatorSettings, RunManifest};
 use hbar_simnet::profiling::ProfilingConfig;
-use hbar_simnet::sweep::{measure_profile_clustered, SweepConfig};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{
+    measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig, SweepReport,
+};
+use hbar_topo::compressed::CompressedCostModel;
+use hbar_topo::cost::CostMatrices;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
-use hbar_topo::profile::TopologyProfile;
 use serde::{Serialize, Value};
 use std::hint::black_box;
 
@@ -62,9 +65,25 @@ fn machine_for(p: usize) -> MachineSpec {
     MachineSpec::new(p.div_ceil(8), 2, 4)
 }
 
+/// The sweep on a local executor, every scatter tile staged in memory.
+fn sweep(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &SweepConfig,
+) -> (CompressedCostModel, SweepReport) {
+    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+    let spill = SpillConfig::in_memory(std::env::temp_dir());
+    let (model, report, _) =
+        measure_profile_compressed(machine, mapping, p, noise, cfg, &spill, &mut executor)
+            .expect("local sweep below the class limit");
+    (model, report)
+}
+
 /// Max and mean relative error of `a` against reference `b` over every
 /// off-diagonal `(O, L)` entry, and the diagonal `O` entries.
-fn rel_errors(a: &TopologyProfile, b: &TopologyProfile) -> (f64, f64) {
+fn rel_errors(a: &CostMatrices, b: &CostMatrices) -> (f64, f64) {
     let mut max = 0.0f64;
     let mut sum = 0.0f64;
     let mut count = 0usize;
@@ -74,47 +93,28 @@ fn rel_errors(a: &TopologyProfile, b: &TopologyProfile) -> (f64, f64) {
         sum += e;
         count += 1;
     };
-    for i in 0..a.p {
-        for j in 0..a.p {
+    for i in 0..a.p() {
+        for j in 0..a.p() {
             if i == j {
-                track(a.cost.o[(i, i)], b.cost.o[(i, i)]);
+                track(a.o[(i, i)], b.o[(i, i)]);
             } else {
-                track(a.cost.o[(i, j)], b.cost.o[(i, j)]);
-                track(a.cost.l[(i, j)], b.cost.l[(i, j)]);
+                track(a.o[(i, j)], b.o[(i, j)]);
+                track(a.l[(i, j)], b.l[(i, j)]);
             }
         }
     }
     (max, sum / count as f64)
 }
 
-fn assert_bit_parity(a: &TopologyProfile, b: &TopologyProfile, label: &str) {
-    for (idx, (x, y)) in a
-        .cost
-        .o
-        .as_slice()
-        .iter()
-        .zip(b.cost.o.as_slice())
-        .enumerate()
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{label}: O diverged at entry {idx}"
-        );
-    }
-    for (idx, (x, y)) in a
-        .cost
-        .l
-        .as_slice()
-        .iter()
-        .zip(b.cost.l.as_slice())
-        .enumerate()
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{label}: L diverged at entry {idx}"
-        );
+fn assert_bit_parity(a: &CostMatrices, b: &CostMatrices, label: &str) {
+    for (name, x, y) in [("O", &a.o, &b.o), ("L", &a.l, &b.l)] {
+        for (idx, (u, v)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
+            assert_eq!(
+                u.to_bits(),
+                v.to_bits(),
+                "{label}: {name} diverged at entry {idx}"
+            );
+        }
     }
 }
 
@@ -156,13 +156,13 @@ fn main() {
         )
     };
 
-    // 1. Bit-parity gate: singleton-class clustered sweep vs the frozen
-    // exhaustive baseline.
+    // 1. Bit-parity gate: singleton-class sweep vs the frozen exhaustive
+    // baseline.
     for &p in &parity_ranks {
         let machine = machine_for(p);
         let exhaustive =
             measure_profile_exhaustive_baseline(&machine, &mapping, p, parity_noise, &schedule);
-        let (clustered, report) = measure_profile_clustered(
+        let (exact, report) = sweep(
             &machine,
             &mapping,
             p,
@@ -174,7 +174,11 @@ fn main() {
             p * (p - 1) / 2 + p,
             "singleton regime must perform exactly the exhaustive measurements"
         );
-        assert_bit_parity(&exhaustive, &clustered, &format!("parity P={p}"));
+        assert_bit_parity(
+            &exhaustive.cost,
+            &exact.to_dense(),
+            &format!("parity P={p}"),
+        );
         println!(
             "parity  P={p:>4}: bit-identical over {} entries x 2 matrices",
             p * p
@@ -210,12 +214,10 @@ fn main() {
         let exhaustive = exhaustive_result.take().expect("at least one rep ran");
         let mut clustered_result = None;
         let after = time_estimate(&adaptive, 1, || {
-            clustered_result = Some(black_box(measure_profile_clustered(
-                &machine, &mapping, p, noise, &sweep_cfg,
-            )));
+            clustered_result = Some(black_box(sweep(&machine, &mapping, p, noise, &sweep_cfg)));
         });
         let (clustered, report) = clustered_result.take().expect("at least one rep ran");
-        let (max_err, mean_err) = rel_errors(&clustered, &exhaustive);
+        let (max_err, mean_err) = rel_errors(&clustered.to_dense(), &exhaustive.cost);
         assert!(
             max_err <= error_bound,
             "P={p}: clustered max relative error {max_err} exceeds bound {error_bound}"
@@ -273,9 +275,8 @@ fn main() {
         let loud = NoiseModel::realistic(SEED);
         let exhaustive =
             measure_profile_exhaustive_baseline(&machine, &mapping, p, loud, &schedule);
-        let (clustered, report) =
-            measure_profile_clustered(&machine, &mapping, p, loud, &sweep_cfg);
-        let (max_err, mean_err) = rel_errors(&clustered, &exhaustive);
+        let (clustered, report) = sweep(&machine, &mapping, p, loud, &sweep_cfg);
+        let (max_err, mean_err) = rel_errors(&clustered.to_dense(), &exhaustive.cost);
         println!(
             "noisy (informational) P={p}: max_err {max_err:.4} mean_err {mean_err:.4} \
              within-class spread {:.4}",
@@ -314,12 +315,10 @@ fn main() {
         let machine = MachineSpec::new(512, 2, 4);
         let mut headline_result = None;
         let clustered_est = time_estimate(&adaptive, 1, || {
-            headline_result = Some(black_box(measure_profile_clustered(
-                &machine, &mapping, p, noise, &sweep_cfg,
-            )));
+            headline_result = Some(black_box(sweep(&machine, &mapping, p, noise, &sweep_cfg)));
         });
-        let (profile, report) = headline_result.take().expect("at least one rep ran");
-        assert_eq!(profile.p, p);
+        let (model, report) = headline_result.take().expect("at least one rep ran");
+        assert_eq!(model.p(), p);
         let pairs = p * (p - 1) / 2 + p;
         let extrapolated_exhaustive_s = last_per_pair_cost * pairs as f64;
         let speedup = extrapolated_exhaustive_s / clustered_est.median;
@@ -359,7 +358,7 @@ fn main() {
     }
 
     let manifest = RunManifest::capture(
-        "measure_profile_clustered",
+        "measure_profile_compressed",
         SEED,
         if quick {
             "ProfilingConfig::fast (--quick); SweepConfig::fast classing"
@@ -372,7 +371,7 @@ fn main() {
     let doc = obj(vec![
         (
             "benchmark",
-            Value::Str("measure_profile_clustered".to_string()),
+            Value::Str("measure_profile_compressed".to_string()),
         ),
         ("manifest", manifest.to_value()),
         (
@@ -386,11 +385,11 @@ fn main() {
         (
             "after",
             Value::Str(
-                "decomposed sweep: feature-vector pair clustering (interconnect class, \
+                "classed sweep: feature-vector pair clustering (interconnect class, \
                  hop signature, socket relation, noise regime), one representative + \
                  validation probes per class with adaptive repetition growth \
                  (hbar_stats::StoppingRule), work-stealing local fan-out, estimates \
-                 scattered into the |P|^2 matrices"
+                 scattered into the compressed class-grid model"
                     .to_string(),
             ),
         ),
@@ -419,7 +418,7 @@ fn main() {
         (
             "parity",
             Value::Str(format!(
-                "clustered sweep in the singleton-class regime (SweepConfig::exact) is \
+                "sweep in the singleton-class regime (SweepConfig::exact) is \
                  bit-identical to the frozen exhaustive baseline at P in {parity_ranks:?} \
                  (asserted before timing)"
             )),

@@ -1,14 +1,15 @@
 //! Large-P memory-wall regression harness.
 //!
 //! Gates the class-compressed cost model and the out-of-core scatter
-//! against the dense pipeline and records the results to
+//! against the dense cost matrices and records the results to
 //! `BENCH_scale.json`:
 //!
-//! 1. **Bit-parity** — at P ≤ 256 the compressed clustered sweep must
-//!    reproduce the dense clustered sweep exactly: `to_dense()` is
-//!    bit-identical entry by entry, the cost fingerprints agree, and a
-//!    full tune over either backing emits the identical schedule and
-//!    prediction (asserted before any timing is reported).
+//! 1. **Bit-parity** — at P ≤ 256 the compressed model of the clustered
+//!    sweep must agree with its dense expansion: `to_dense()` recompresses
+//!    (`CompressedCostModel::from_dense`) to the same fingerprint, the
+//!    dense and compressed fingerprints agree, and a full tune over either
+//!    backing emits the identical schedule and prediction (asserted
+//!    before any timing is reported).
 //! 2. **Cold-tune timing** — dense vs compressed end-to-end tunes
 //!    (clustering metric build included — the dense path allocates an
 //!    O(|P|²) distance matrix, the compressed path aliases the class
@@ -41,8 +42,11 @@ use hbar_bench::stats::{
 use hbar_core::compose::{tune_hybrid_costs, tune_hybrid_costs_with, TunerConfig};
 use hbar_core::cost::CostEvaluator;
 use hbar_simnet::profiling::ProfilingConfig;
-use hbar_simnet::sweep::{measure_profile_clustered, SweepConfig};
-use hbar_simnet::{measure_profile_clustered_compressed, NoiseModel, SpillConfig};
+use hbar_simnet::{
+    measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SpillReport, SweepConfig,
+    SweepReport,
+};
+use hbar_topo::compressed::CompressedCostModel;
 use hbar_topo::cost::CostProvider;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
@@ -72,6 +76,20 @@ fn machine_for(p: usize) -> MachineSpec {
 /// A scratch spill directory unique to this process.
 fn spill_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("hbar-scale-{}-{tag}", std::process::id()))
+}
+
+/// The sweep on a local executor.
+fn sweep(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &SweepConfig,
+    spill: &SpillConfig,
+) -> (CompressedCostModel, SweepReport, SpillReport) {
+    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+    measure_profile_compressed(machine, mapping, p, noise, cfg, spill, &mut executor)
+        .expect("local sweep below the class limit")
 }
 
 /// Dense-equivalent resident bytes of a `p`-rank cost model: two
@@ -131,47 +149,28 @@ fn main() {
     }
     let headline_p = if quick { 2048 } else { 16384 };
 
-    // 1. Bit-parity gate: the compressed clustered sweep against the
-    // dense clustered sweep, same machine / mapping / noise / config.
+    // 1. Bit-parity gate: the clustered sweep's compressed model against
+    // its dense expansion.
     let mut parity_rows = Vec::new();
     for &p in parity_ranks {
         let machine = machine_for(p);
-        let (dense_profile, dense_report) =
-            measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg);
         let spill = SpillConfig::in_memory(spill_dir(&format!("parity{p}")));
-        let (model, comp_report, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, p, noise, &sweep_cfg, &spill)
-                .expect("compressed sweep at parity scale");
+        let (model, _, _) = sweep(&machine, &mapping, p, noise, &sweep_cfg, &spill);
+        let dense = model.to_dense();
+        let recompressed =
+            CompressedCostModel::from_dense(&dense).expect("recompress at parity scale");
         assert_eq!(
-            dense_report.measurements, comp_report.measurements,
-            "P={p}: the two sweeps must execute the same measurement plan"
+            recompressed.fingerprint(),
+            model.fingerprint(),
+            "P={p}: dense round trip diverged"
         );
-        let roundtrip = model.to_dense();
-        for (idx, (x, y)) in roundtrip
-            .o
-            .as_slice()
-            .iter()
-            .zip(dense_profile.cost.o.as_slice())
-            .enumerate()
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "P={p}: O diverged at entry {idx}");
-        }
-        for (idx, (x, y)) in roundtrip
-            .l
-            .as_slice()
-            .iter()
-            .zip(dense_profile.cost.l.as_slice())
-            .enumerate()
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "P={p}: L diverged at entry {idx}");
-        }
         assert_eq!(
             model.fingerprint(),
-            dense_profile.cost.fingerprint(),
+            dense.fingerprint(),
             "P={p}: fingerprints diverged"
         );
         let members: Vec<usize> = (0..p).collect();
-        let dense_tune = tune_hybrid_costs(&dense_profile.cost, &members, &tuner_cfg);
+        let dense_tune = tune_hybrid_costs(&dense, &members, &tuner_cfg);
         let comp_tune = tune_hybrid_costs(&model, &members, &tuner_cfg);
         assert_eq!(
             dense_tune.schedule, comp_tune.schedule,
@@ -183,7 +182,7 @@ fn main() {
             "P={p}: predictions diverged across backings"
         );
         println!(
-            "parity  P={p:>4}: bit-identical over {} entries x 2 matrices, {} classes, \
+            "parity  P={p:>4}: dense round trip agrees over {} entries x 2 matrices, {} classes, \
              identical {}-stage tune",
             p * p,
             model.classes(),
@@ -207,30 +206,19 @@ fn main() {
     );
     for &p in &timing_ranks {
         let machine = machine_for(p);
-        let (profile, _) = measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg);
         let spill = SpillConfig::in_memory(spill_dir(&format!("timing{p}")));
-        let (model, _, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, p, noise, &sweep_cfg, &spill)
-                .expect("compressed sweep at timing scale");
-        assert_eq!(
-            model.fingerprint(),
-            profile.cost.fingerprint(),
-            "P={p}: timing inputs diverged"
-        );
+        let (model, _, _) = sweep(&machine, &mapping, p, noise, &sweep_cfg, &spill);
+        let dense = model.to_dense();
         let members: Vec<usize> = (0..p).collect();
         // Outputs must agree before the timings mean anything.
-        let dense_tune = tune_hybrid_costs(&profile.cost, &members, &tuner_cfg);
+        let dense_tune = tune_hybrid_costs(&dense, &members, &tuner_cfg);
         let comp_tune = tune_hybrid_costs(&model, &members, &tuner_cfg);
         assert_eq!(
             dense_tune.schedule, comp_tune.schedule,
             "P={p}: tuned schedules diverged across backings"
         );
         let before = time_estimate(&adaptive, 1, || {
-            black_box(tune_hybrid_costs(
-                black_box(&profile.cost),
-                &members,
-                &tuner_cfg,
-            ));
+            black_box(tune_hybrid_costs(black_box(&dense), &members, &tuner_cfg));
         });
         let after = time_estimate(&adaptive, 1, || {
             black_box(tune_hybrid_costs(black_box(&model), &members, &tuner_cfg));
@@ -277,9 +265,7 @@ fn main() {
     let machine = machine_for(p);
     let spill = SpillConfig::budgeted(spill_dir("headline"), staging_budget);
     let profile_started = Instant::now();
-    let (model, report, spill_report) =
-        measure_profile_clustered_compressed(&machine, &mapping, p, noise, &sweep_cfg, &spill)
-            .expect("headline compressed sweep");
+    let (model, report, spill_report) = sweep(&machine, &mapping, p, noise, &sweep_cfg, &spill);
     let profile_s = profile_started.elapsed().as_secs_f64();
     let grid_bytes = model.heap_bytes();
     let spill_forced = grid_bytes > staging_budget;
@@ -434,10 +420,10 @@ fn main() {
         (
             "parity_semantics",
             Value::Str(
-                "compressed clustered sweep vs dense clustered sweep of the same \
-                 machine, mapping, noise seed, and schedule: to_dense() bit-equal \
-                 entrywise, cost fingerprints equal, full tunes emit identical \
-                 schedules and bit-identical predictions (asserted before timing)"
+                "compressed model of the clustered sweep vs its to_dense() \
+                 expansion: from_dense(to_dense()) reproduces the fingerprint, \
+                 cost fingerprints equal, full tunes emit identical schedules and \
+                 bit-identical predictions (asserted before timing)"
                     .to_string(),
             ),
         ),

@@ -1,6 +1,7 @@
 //! Simulation-engine performance regression harness.
 //!
-//! Times the full §IV-A profiling sweep (`measure_profile`, the
+//! Times the full §IV-A profiling sweep (`measure_profile_compressed`
+//! with `SweepConfig::exact`: every pair benchmarked on the
 //! reusable-engine/amortized-program path) against the frozen pre-rework
 //! stack (`hbar_bench::baseline_engine` with its verbatim Box–Muller
 //! sampler) across rank counts, and writes interval estimates (median +
@@ -35,9 +36,12 @@ use hbar_bench::perf_cli::PerfArgs;
 use hbar_bench::stats::{ratio_interval, time_estimate, EstimatorSettings, RunManifest};
 use hbar_core::algorithms::Algorithm;
 use hbar_simnet::barrier::schedule_programs;
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
+use hbar_simnet::profiling::ProfilingConfig;
 use hbar_simnet::world::{SimConfig, SimWorld};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{
+    measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig,
+};
+use hbar_topo::cost::CostMatrices;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use serde::{Serialize, Value};
@@ -50,6 +54,24 @@ const ENGINE_RANKS: usize = 4096;
 const ENGINE_RANKS_QUICK: usize = 1024;
 /// Barrier repetitions per engine-row run.
 const ENGINE_BARRIER_REPS: usize = 5;
+
+/// The exhaustive sweep (exact classes: every pair benchmarked),
+/// expanded to dense matrices.
+fn measure_every_pair(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &ProfilingConfig,
+) -> CostMatrices {
+    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.clone());
+    let spill = SpillConfig::in_memory(std::env::temp_dir());
+    let exact = SweepConfig::exact(cfg.clone());
+    let (model, _, _) =
+        measure_profile_compressed(machine, mapping, p, noise, &exact, &spill, &mut executor)
+            .expect("local exact sweep below the class limit");
+    model.to_dense()
+}
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -171,26 +193,15 @@ fn main() {
         // so the comparison isolates engine mechanics.
         let base =
             measure_profile_baseline(&machine, &mapping, p, noise, BaselineNoise::Shared, &cfg);
-        let opt = measure_profile(&machine, &mapping, p, noise, &cfg);
-        for (idx, (a, b)) in base
-            .cost
-            .o
-            .as_slice()
-            .iter()
-            .zip(opt.cost.o.as_slice())
-            .enumerate()
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "O diverged at p={p}, entry {idx}");
-        }
-        for (idx, (a, b)) in base
-            .cost
-            .l
-            .as_slice()
-            .iter()
-            .zip(opt.cost.l.as_slice())
-            .enumerate()
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "L diverged at p={p}, entry {idx}");
+        let opt = measure_every_pair(&machine, &mapping, p, noise, &cfg);
+        for (name, x, y) in [("O", &base.cost.o, &opt.o), ("L", &base.cost.l, &opt.l)] {
+            for (idx, (a, b)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{name} diverged at p={p}, entry {idx}"
+                );
+            }
         }
 
         let before = time_estimate(&adaptive, 1, || {
@@ -204,7 +215,7 @@ fn main() {
             ));
         });
         let after = time_estimate(&adaptive, 1, || {
-            black_box(measure_profile(
+            black_box(measure_every_pair(
                 black_box(&machine),
                 &mapping,
                 p,
@@ -282,7 +293,8 @@ fn main() {
                  radix-heap event queue, class-indexed link costs and a sparse \
                  pair-slot matching pool recycled between runs, Copy instructions \
                  with interned mark labels, in-place program rebuilds via \
-                 PairBench, ziggurat noise sampler"
+                 PairBench, ziggurat noise sampler; driven through the exact-class \
+                 sweep (classing and class-grid scatter included)"
                     .to_string(),
             ),
         ),

@@ -2,9 +2,11 @@
 
 use hbar_core::schedule::BarrierSchedule;
 use hbar_simnet::barrier::measure_schedule;
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
+use hbar_simnet::profiling::ProfilingConfig;
 use hbar_simnet::world::{SimConfig, SimWorld};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{
+    measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig,
+};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
@@ -92,7 +94,7 @@ impl ExperimentContext {
         let bucket = self.bucket(p);
         let bucket_max = (bucket * self.cores_per_node()).min(self.max_p());
         if !self.profile_cache.contains_key(&bucket) {
-            let prof = measure_profile(
+            let prof = profile_every_pair(
                 &self.machine,
                 &self.mapping,
                 bucket_max,
@@ -134,6 +136,31 @@ impl ExperimentContext {
             v.push(self.max_p());
         }
         v
+    }
+}
+
+/// Profiles `p` ranks with the exhaustive §IV-A sweep (the sweep's exact
+/// classes: one benchmark per pair) and expands the compressed model to
+/// the dense profile the figure code reads.
+pub(crate) fn profile_every_pair(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &ProfilingConfig,
+) -> TopologyProfile {
+    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.clone());
+    // Tiles stage in memory without limit, so nothing is ever written here.
+    let spill = SpillConfig::in_memory(std::env::temp_dir());
+    let exact = SweepConfig::exact(cfg.clone());
+    let (model, _, _) =
+        measure_profile_compressed(machine, mapping, p, noise, &exact, &spill, &mut executor)
+            .expect("the paper's clusters stay below the exact sweep's class limit");
+    TopologyProfile {
+        machine: machine.clone(),
+        mapping: mapping.clone(),
+        p,
+        cost: model.to_dense(),
     }
 }
 

@@ -1,4 +1,4 @@
-//! TCP worker fleet for the decomposed profiling sweep.
+//! TCP worker fleet for the profiling sweep.
 //!
 //! The sweep's execution layer is a [`crate::sweep::DescriptorExecutor`];
 //! this module provides the distributed one. A **worker**

@@ -18,13 +18,15 @@
 //! * [`noise`] — multiplicative jitter plus rare preemption spikes;
 //! * [`benchprog`] — the §IV-A profiling workloads (ping-pong size sweep,
 //!   multi-message bursts, transmission-free calls);
-//! * [`profiling`] — the full `|P|²` pairwise benchmark driver that
-//!   produces a [`hbar_topo::profile::TopologyProfile`] by regression;
-//! * [`sweep`] — the decomposed (pair-clustered, representative +
-//!   validation-probe) profiling sweep with work-stealing local fan-out;
+//! * [`profiling`] — the §IV-A per-pair benchmark schedule and its
+//!   regression to `(O_ij, L_ij)`, plus the per-pair noise sub-seeds;
+//! * [`sweep`] — the profiling sweep, [`measure_profile_compressed`]:
+//!   pairs classed exactly (the exhaustive `|P|²` sweep) or by topology
+//!   features (one representative + validation probes per class), with
+//!   work-stealing local fan-out;
 //! * [`scatter`] — the out-of-core class-grid scatter that writes the
 //!   sweep's results into a [`hbar_topo::CompressedCostModel`]
-//!   tile-at-a-time under a memory budget, for `P ≫ 4096`;
+//!   tile-at-a-time under a memory budget;
 //! * [`wire`] — the compact framed codec for shipping sweep work to
 //!   remote workers;
 //! * [`distrib`] — the TCP worker loop and the fleet driver that shards
@@ -47,13 +49,10 @@ pub mod world;
 
 pub use noise::{NoiseModel, NoiseState};
 pub use program::{Instr, Program};
-pub use scatter::{
-    measure_profile_clustered_compressed, measure_profile_compressed, SpillConfig, SpillReport,
-};
+pub use scatter::{SpillConfig, SpillReport};
 pub use sweep::{
-    measure_profile_clustered, measure_profile_decomposed, DescriptorExecutor, LocalExecutor,
-    PairSample, PairWorkDescriptor, SequentialExecutor, SweepConfig, SweepError, SweepReport,
-    WorkKind,
+    measure_profile_compressed, DescriptorExecutor, LocalExecutor, PairSample, PairWorkDescriptor,
+    SequentialExecutor, SweepConfig, SweepError, SweepReport, WorkKind,
 };
 pub use world::{SimConfig, SimResult, SimWorld};
 

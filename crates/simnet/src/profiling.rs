@@ -1,4 +1,4 @@
-//! The `|P|²` pairwise profiling driver (§IV-A).
+//! The per-pair §IV-A benchmark schedule.
 //!
 //! "Benchmarking to find these values proceeds by a sequence of
 //! |P|(|P|−1)/2 pairwise round-trip tests to establish O_ij, L_ij | i ≠ j,
@@ -7,20 +7,17 @@
 //! Each pair is measured in its own two-rank world pinned to the pair's
 //! cores (the simulator's equivalent of `sched_setaffinity`), with a
 //! per-pair noise sub-seed so interference is independent across pairs.
-//! Pairs are measured in parallel with rayon — sound because the paper's
-//! pairwise tests are themselves independent experiments.
+//! Which pairs get measured is the sweep's business
+//! ([`crate::sweep::measure_profile_compressed`]): every pair under
+//! [`crate::SweepConfig::exact`], one representative per class otherwise.
 
 use crate::benchprog::PairBench;
 use crate::noise::NoiseModel;
 use crate::world::{SimConfig, SimWorld};
 use hbar_core::clustering::splitmix64;
-use hbar_matrix::DenseMatrix;
-use hbar_topo::cost::CostMatrices;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
-use hbar_topo::profile::TopologyProfile;
 use hbar_topo::regress::{hockney_intercept, hockney_message_sizes, latency_gradient};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Benchmark schedule parameters.
@@ -96,179 +93,10 @@ pub fn diag_sub_seed(i: usize, seed: u64) -> u64 {
     splitmix64(splitmix64(seed ^ 0x000D_D1A6_u64) ^ i as u64)
 }
 
-/// Runs the full §IV-A benchmark suite on the simulated machine and
-/// extracts a topology profile by least-squares regression.
-///
-/// # Panics
-/// Panics if `p < 2` or `p` exceeds the machine capacity (via the mapping).
-pub fn measure_profile(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &ProfilingConfig,
-) -> TopologyProfile {
-    assert!(p >= 2, "profiling needs at least two ranks, got {p}");
-    let cores = mapping.place(machine, p);
-    let directed_pairs: Vec<(usize, usize)> = if cfg.symmetric {
-        (0..p)
-            .flat_map(|i| ((i + 1)..p).map(move |j| (i, j)))
-            .collect()
-    } else {
-        (0..p)
-            .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
-            .collect()
-    };
-
-    let measured: Vec<(usize, usize, f64, f64)> = directed_pairs
-        .par_iter()
-        .map(|&(i, j)| {
-            let mut bench = pair_bench(
-                machine,
-                cores[i],
-                cores[j],
-                noise,
-                pair_sub_seed(i, j, noise.seed),
-            );
-            let (o, l) = measure_pair(&mut bench, cfg);
-            (i, j, o, l)
-        })
-        .collect();
-
-    let diag: Vec<f64> = (0..p)
-        .into_par_iter()
-        .map(|i| {
-            let partner = cores[(i + 1) % p];
-            let mut bench = pair_bench(
-                machine,
-                cores[i],
-                partner,
-                noise,
-                diag_sub_seed(i, noise.seed),
-            );
-            bench.noop(cfg.noop_calls)
-        })
-        .collect();
-
-    let mut o = DenseMatrix::new(p);
-    let mut l = DenseMatrix::new(p);
-    for (i, j, oij, lij) in measured {
-        o[(i, j)] = oij;
-        l[(i, j)] = lij;
-        if cfg.symmetric {
-            o[(j, i)] = oij;
-            l[(j, i)] = lij;
-        }
-    }
-    for (i, &oii) in diag.iter().enumerate() {
-        o[(i, i)] = oii;
-        l[(i, i)] = 0.0;
-    }
-
-    TopologyProfile {
-        machine: machine.clone(),
-        mapping: mapping.clone(),
-        p,
-        cost: CostMatrices { o, l },
-    }
-}
-
-/// The §IV-B profiling-cost reduction, end to end: benchmark only one
-/// representative pair per link class present under the placement (plus
-/// one `O_ii` rank), then replicate the class values across the full
-/// `P × P` matrices.
-///
-/// "A great deal of duplicate effort could be rationalized by
-/// constructing P × P matrices from replicating component submatrices" —
-/// the paper measured everything anyway to rule out surprises, found
-/// "similar submatrices corresponding to similar subsystems", and
-/// concluded the shortcut loses no significant information. This
-/// function is that shortcut; `replication_error` against a full
-/// [`measure_profile`] quantifies the loss (tested).
-///
-/// # Panics
-/// Panics if `p < 2` or the mapping cannot place `p` ranks.
-pub fn measure_profile_replicated(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &ProfilingConfig,
-) -> TopologyProfile {
-    use hbar_topo::machine::LinkClass;
-    use hbar_topo::replicate::{replicate_by_class, ClassRepresentatives};
-    assert!(p >= 2, "profiling needs at least two ranks, got {p}");
-    let cores = mapping.place(machine, p);
-
-    // One representative ordered pair per class present.
-    let mut rep_pair: Vec<(LinkClass, (usize, usize))> = Vec::new();
-    for class in LinkClass::ALL {
-        'outer: for i in 0..p {
-            for j in 0..p {
-                if i != j && machine.link_class(cores[i], cores[j]) == class {
-                    rep_pair.push((class, (i, j)));
-                    break 'outer;
-                }
-            }
-        }
-    }
-
-    let mut reps = ClassRepresentatives {
-        o_same_socket: 0.0,
-        o_cross_socket: 0.0,
-        o_inter_node: 0.0,
-        l_same_socket: 0.0,
-        l_cross_socket: 0.0,
-        l_inter_node: 0.0,
-        o_diag: 0.0,
-    };
-    for (class, (i, j)) in rep_pair {
-        let mut bench = pair_bench(
-            machine,
-            cores[i],
-            cores[j],
-            noise,
-            pair_sub_seed(i, j, noise.seed),
-        );
-        let (o, l) = measure_pair(&mut bench, cfg);
-        match class {
-            LinkClass::SameSocket => {
-                reps.o_same_socket = o;
-                reps.l_same_socket = l;
-            }
-            LinkClass::CrossSocket => {
-                reps.o_cross_socket = o;
-                reps.l_cross_socket = l;
-            }
-            LinkClass::InterNode => {
-                reps.o_inter_node = o;
-                reps.l_inter_node = l;
-            }
-        }
-    }
-    // One O_ii measurement, replicated along the diagonal.
-    let mut bench = pair_bench(
-        machine,
-        cores[0],
-        cores[1 % p],
-        noise,
-        diag_sub_seed(0, noise.seed),
-    );
-    reps.o_diag = bench.noop(cfg.noop_calls);
-
-    TopologyProfile {
-        machine: machine.clone(),
-        mapping: mapping.clone(),
-        p,
-        cost: replicate_by_class(&reps, machine, &cores),
-    }
-}
-
 /// Runs one pair's full §IV-A measurement schedule — the ping-pong size
-/// sweep then the burst-count sweep, in the fixed order both drivers
-/// promise — and regresses out `(O_ij, L_ij)`. Shared by
-/// [`measure_profile`] and [`measure_profile_replicated`], amortizing one
-/// engine and one pair of program buffers across every sample point.
+/// sweep then the burst-count sweep, in a fixed order — and regresses out
+/// `(O_ij, L_ij)`, amortizing one engine and one pair of program buffers
+/// across every sample point.
 pub(crate) fn measure_pair(bench: &mut PairBench, cfg: &ProfilingConfig) -> (f64, f64) {
     let o_points: Vec<(f64, f64)> = cfg
         .sizes
@@ -306,20 +134,37 @@ pub(crate) fn pair_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{sweep_locally, SweepConfig};
+    use crate::SpillConfig;
+    use hbar_topo::cost::CostMatrices;
     use hbar_topo::machine::LinkClass;
+    use hbar_topo::profile::TopologyProfile;
+
+    /// The dense matrices of the exact (every-pair) sweep.
+    fn measure_every_pair(
+        machine: &MachineSpec,
+        p: usize,
+        noise: NoiseModel,
+        cfg: &ProfilingConfig,
+    ) -> CostMatrices {
+        let spill = SpillConfig::in_memory(std::env::temp_dir().join("hbar_profiling_unused"));
+        let cfg = SweepConfig::exact(cfg.clone());
+        let (model, _, _) = sweep_locally(machine, &RankMapping::Block, p, noise, &cfg, &spill);
+        model.to_dense()
+    }
 
     /// Relative error of every off-diagonal profile entry against the
     /// ideal ground-truth profile.
-    fn worst_error(measured: &TopologyProfile, ideal: &TopologyProfile) -> f64 {
+    fn worst_error(measured: &CostMatrices, ideal: &TopologyProfile) -> f64 {
         let mut worst = 0.0f64;
-        for i in 0..measured.p {
-            for j in 0..measured.p {
+        for i in 0..ideal.p {
+            for j in 0..ideal.p {
                 if i == j {
                     continue;
                 }
-                let (a, b) = (measured.cost.o[(i, j)], ideal.cost.o[(i, j)]);
+                let (a, b) = (measured.o[(i, j)], ideal.cost.o[(i, j)]);
                 worst = worst.max((a - b).abs() / b);
-                let (a, b) = (measured.cost.l[(i, j)], ideal.cost.l[(i, j)]);
+                let (a, b) = (measured.l[(i, j)], ideal.cost.l[(i, j)]);
                 worst = worst.max((a - b).abs() / b);
             }
         }
@@ -329,15 +174,9 @@ mod tests {
     #[test]
     fn noise_free_profile_matches_ground_truth_closely() {
         let machine = MachineSpec::new(2, 2, 2);
-        let mapping = RankMapping::Block;
-        let measured = measure_profile(
-            &machine,
-            &mapping,
-            8,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
-        let ideal = TopologyProfile::from_ground_truth(&machine, &mapping);
+        let measured =
+            measure_every_pair(&machine, 8, NoiseModel::none(), &ProfilingConfig::fast());
+        let ideal = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
         let err = worst_error(&measured, &ideal);
         assert!(err < 0.12, "worst relative error {err}");
     }
@@ -345,15 +184,10 @@ mod tests {
     #[test]
     fn profile_reflects_hierarchy_ordering() {
         let machine = MachineSpec::new(2, 2, 2);
-        let measured = measure_profile(
-            &machine,
-            &RankMapping::Block,
-            8,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
+        let measured =
+            measure_every_pair(&machine, 8, NoiseModel::none(), &ProfilingConfig::fast());
         // same socket (0,1) < cross socket (0,4) < inter node (0,4+4).
-        let o = &measured.cost.o;
+        let o = &measured.o;
         assert!(o[(0, 1)] < o[(0, 2)] || o[(0, 1)] < o[(0, 4)]);
         assert!(o[(0, 1)] < o[(0, 4)]);
         assert!(o[(0, 4)] < o[(0, 5)].max(o[(0, 6)]).max(o[(0, 7)]) * 100.0);
@@ -369,35 +203,32 @@ mod tests {
     #[test]
     fn noisy_profile_remains_usable() {
         let machine = MachineSpec::new(2, 1, 2);
-        let mapping = RankMapping::Block;
-        let measured = measure_profile(
+        let measured = measure_every_pair(
             &machine,
-            &mapping,
             4,
             NoiseModel::realistic(17),
             &ProfilingConfig::fast(),
         );
-        let ideal = TopologyProfile::from_ground_truth(&machine, &mapping);
+        let ideal = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
         let err = worst_error(&measured, &ideal);
         // Noise perturbs estimates but the profile stays in the right
         // ballpark — the reproducibility §IV-B claims.
         assert!(err < 0.6, "worst relative error {err}");
         // And the hierarchy ordering survives.
-        assert!(measured.cost.o[(0, 1)] < measured.cost.o[(0, 2)]);
+        assert!(measured.o[(0, 1)] < measured.o[(0, 2)]);
     }
 
     #[test]
     fn symmetric_profile_is_symmetric() {
         let machine = MachineSpec::new(2, 1, 2);
-        let measured = measure_profile(
+        let measured = measure_every_pair(
             &machine,
-            &RankMapping::Block,
             4,
             NoiseModel::realistic(3),
             &ProfilingConfig::fast(),
         );
-        assert!(measured.cost.o.is_symmetric());
-        assert!(measured.cost.l.is_symmetric());
+        assert!(measured.o.is_symmetric());
+        assert!(measured.l.is_symmetric());
     }
 
     #[test]
@@ -407,65 +238,11 @@ mod tests {
             symmetric: false,
             ..ProfilingConfig::fast()
         };
-        let measured = measure_profile(
-            &machine,
-            &RankMapping::Block,
-            4,
-            NoiseModel::realistic(3),
-            &cfg,
-        );
+        let measured = measure_every_pair(&machine, 4, NoiseModel::realistic(3), &cfg);
         // With independent noisy measurements per direction, exact
         // symmetry is (almost surely) broken but values stay close.
-        assert!(!measured.cost.o.is_symmetric());
-        assert!(measured.cost.o.asymmetry() < 0.5);
-    }
-
-    #[test]
-    fn replicated_profiling_loses_no_significant_information() {
-        // §IV-B's claim, checked end to end: a profile built from one
-        // measured pair per link class is close to the fully measured
-        // one, at a fraction of the benchmark count.
-        use hbar_topo::replicate::replication_error;
-        let machine = MachineSpec::new(2, 2, 2);
-        let mapping = RankMapping::RoundRobin;
-        let full = measure_profile(
-            &machine,
-            &mapping,
-            8,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
-        let replicated = super::measure_profile_replicated(
-            &machine,
-            &mapping,
-            8,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
-        let err = replication_error(&full.cost, &replicated.cost);
-        assert!(err < 0.05, "replication error {err}");
-        // And it still drives the tuner to a valid barrier.
-        let tuned = hbar_core::compose::tune_hybrid(
-            &replicated,
-            &hbar_core::compose::TunerConfig::default(),
-        );
-        assert!(hbar_core::verify::is_barrier(&tuned.schedule));
-    }
-
-    #[test]
-    fn replicated_profiling_handles_single_class_machines() {
-        // A single-socket node has only SameSocket links.
-        let machine = MachineSpec::new(1, 1, 4);
-        let prof = super::measure_profile_replicated(
-            &machine,
-            &RankMapping::Block,
-            4,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
-        assert_eq!(prof.p, 4);
-        assert!(prof.cost.o[(0, 3)] > 0.0);
-        assert_eq!(prof.cost.o[(0, 1)], prof.cost.o[(2, 3)]);
+        assert!(!measured.o.is_symmetric());
+        assert!(measured.o.asymmetry() < 0.5);
     }
 
     #[test]
@@ -491,20 +268,15 @@ mod tests {
     #[test]
     fn diagonal_holds_call_overhead_estimate() {
         let machine = MachineSpec::new(1, 1, 2);
-        let measured = measure_profile(
-            &machine,
-            &RankMapping::Block,
-            2,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
+        let measured =
+            measure_every_pair(&machine, 2, NoiseModel::none(), &ProfilingConfig::fast());
         let expect = machine.ground_truth.effective_oii();
         for i in 0..2 {
-            assert!((measured.cost.o[(i, i)] - expect).abs() / expect < 0.01);
-            assert_eq!(measured.cost.l[(i, i)], 0.0);
+            assert!((measured.o[(i, i)] - expect).abs() / expect < 0.01);
+            assert_eq!(measured.l[(i, i)], 0.0);
         }
         // The noise-free L for a same-socket pair matches Fig. 9 scale.
-        let l01 = measured.cost.l[(0, 1)];
+        let l01 = measured.l[(0, 1)];
         let expect_l = machine.ground_truth.effective_l(LinkClass::SameSocket);
         assert!(
             (l01 - expect_l).abs() / expect_l < 0.15,

@@ -1,12 +1,11 @@
-//! Out-of-core class-grid scatter: the `P ≫ 4096` back end of the
-//! decomposed sweep.
+//! Out-of-core class-grid scatter: the last layer of the profiling sweep
+//! ([`crate::sweep`]).
 //!
-//! The dense scatter ([`crate::sweep`]) materializes two `|P|²` `f64`
-//! matrices — 4 GiB at `P = 16384` — even though a clustered sweep only
-//! ever *measured* a handful of class values. This module scatters into a
-//! [`CompressedCostModel`] instead: a `u16` pair-class grid (2 bytes per
-//! cell, 512 MiB at `P = 16384`) plus per-class value tables, never
-//! touching dense storage.
+//! Two dense `|P|²` `f64` matrices take 4 GiB at `P = 16384`, even though
+//! a clustered sweep only ever *measured* a handful of class values. The
+//! scatter writes a [`CompressedCostModel`] instead: a `u16` pair-class
+//! grid (2 bytes per cell, 512 MiB at `P = 16384`) plus per-class value
+//! tables, never touching dense storage.
 //!
 //! The grid itself is produced **tile-at-a-time** (a tile is
 //! [`SpillConfig::tile_rows`] consecutive rows) so the scatter's working
@@ -32,20 +31,15 @@
 //! [`CompressedCostModel::from_parts`] enforces so its derived
 //! [`hbar_topo::DistanceMetric`] can alias the grid zero-copy.
 //!
-//! `CompressedCostModel::to_dense()` of the result is bit-identical to
-//! the dense scatter of the same measurements — the values flowing into
-//! the tables are the very `f64`s the dense path would have written.
+//! `CompressedCostModel::to_dense()` of the result holds, at every entry,
+//! the very `f64` the sweep measured for that entry's class (or member,
+//! if exploded).
 
-use crate::noise::NoiseModel;
-use crate::sweep::{
-    measure_classes, ClassMeasurements, DescriptorExecutor, LocalExecutor, SweepConfig, SweepError,
-    SweepReport,
-};
-use hbar_core::clustering::{classify_pairs, ClassingConfig, PairClassing};
+use crate::sweep::{ClassMeasurements, SweepError};
+use hbar_core::clustering::PairClassing;
 use hbar_topo::compressed::{CompressError, CompressedCostModel, MAX_CLASSES};
-use hbar_topo::features::{ExactExtractor, PairFeatureExtractor, TopologyExtractor};
+use hbar_topo::features::PairFeatureExtractor;
 use hbar_topo::machine::MachineSpec;
-use hbar_topo::mapping::RankMapping;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fs;
@@ -201,6 +195,9 @@ impl<'a> TileSink<'a> {
 /// the grid tile-at-a-time under `spill`'s memory budget. Tile contents
 /// are computed row-parallel; tile order (and therefore the grid, and
 /// therefore the model fingerprint) is deterministic.
+///
+/// The class-space check here counts exploded members too; the sweep
+/// checks classing alone before measuring anything.
 pub(crate) fn scatter_compressed_tiles(
     machine: &MachineSpec,
     cores: &[usize],
@@ -251,8 +248,8 @@ pub(crate) fn scatter_compressed_tiles(
         table_l.push(0.0);
     }
 
-    // Tile production. Each cell re-derives its features exactly as the
-    // dense scatter does; symmetric classings saw only `(min, max)`
+    // Tile production. Each cell re-derives its features with the
+    // classing's extractor; symmetric classings saw only `(min, max)`
     // orientations, so lookups use that orientation for both triangles.
     let class_of_cell = |i: usize, j: usize| -> u16 {
         if i == j {
@@ -305,96 +302,16 @@ pub(crate) fn scatter_compressed_tiles(
     Ok((model, report))
 }
 
-/// The decomposed sweep with a class-compressed result: same classing,
-/// measurement plan, adaptive growth, and explosion semantics as
-/// [`crate::sweep::measure_profile_decomposed`], but the scatter builds a
-/// [`CompressedCostModel`] tile-at-a-time under `spill`'s budget instead
-/// of dense `|P|²` matrices. `model.to_dense()` is bit-identical to the
-/// dense sweep's profile.
-///
-/// # Panics
-/// Panics if `p < 2` or the mapping cannot place `p` ranks.
-pub fn measure_profile_compressed(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &SweepConfig,
-    spill: &SpillConfig,
-    executor: &mut dyn DescriptorExecutor,
-) -> Result<(CompressedCostModel, SweepReport, SpillReport), SweepError> {
-    assert!(p >= 2, "profiling needs at least two ranks, got {p}");
-    let cores = mapping.place(machine, p);
-    let regime = crate::sweep::noise_regime_of(&noise);
-    let topo_extractor = TopologyExtractor::with_noise_regime(regime);
-    let exact_extractor = ExactExtractor {
-        noise_regime: regime,
-    };
-    let extractor: &(dyn PairFeatureExtractor + Sync) = if cfg.exact_classes {
-        &exact_extractor
-    } else {
-        &topo_extractor
-    };
-    let classing = classify_pairs(
-        machine,
-        &cores,
-        p,
-        extractor,
-        &ClassingConfig {
-            symmetric: cfg.profiling.symmetric,
-            probes_per_class: cfg.probes_per_class,
-            probe_seed: cfg.probe_seed,
-        },
-    );
-    let (m, report) = measure_classes(machine, &cores, &classing, extractor, noise, cfg, executor)?;
-    let (model, spill_report) = scatter_compressed_tiles(
-        machine,
-        &cores,
-        &classing,
-        extractor,
-        cfg.profiling.symmetric,
-        &m,
-        spill,
-    )?;
-    Ok((model, report, spill_report))
-}
-
-/// [`measure_profile_compressed`] with local work-stealing execution —
-/// the compressed sibling of
-/// [`crate::sweep::measure_profile_clustered`].
-///
-/// # Panics
-/// As [`measure_profile_compressed`].
-pub fn measure_profile_clustered_compressed(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &SweepConfig,
-    spill: &SpillConfig,
-) -> Result<(CompressedCostModel, SweepReport, SpillReport), SweepError> {
-    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
-    measure_profile_compressed(machine, mapping, p, noise, cfg, spill, &mut executor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::measure_profile_clustered;
-    use hbar_topo::cost::{CostMatrices, CostProvider};
+    use crate::sweep::{sweep_locally, SweepConfig};
+    use crate::NoiseModel;
+    use hbar_core::clustering::{classify_pairs, ClassingConfig};
+    use hbar_topo::cost::CostProvider;
+    use hbar_topo::features::ExactExtractor;
+    use hbar_topo::mapping::RankMapping;
     use std::sync::atomic::{AtomicU32, Ordering};
-
-    fn bit_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
-        a.o.as_slice()
-            .iter()
-            .zip(b.o.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-            && a.l
-                .as_slice()
-                .iter()
-                .zip(b.l.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    }
 
     fn scratch_dir(tag: &str) -> PathBuf {
         static NONCE: AtomicU32 = AtomicU32::new(0);
@@ -406,18 +323,17 @@ mod tests {
     }
 
     #[test]
-    fn compressed_scatter_matches_dense_bit_for_bit() {
+    fn in_memory_scatter_stores_one_value_per_class() {
         let machine = MachineSpec::dual_quad_cluster(2);
-        let mapping = RankMapping::Block;
-        let noise = NoiseModel::realistic(5);
-        let cfg = SweepConfig::fast();
-        let (dense, dense_report) = measure_profile_clustered(&machine, &mapping, 16, noise, &cfg);
-        let spill = SpillConfig::in_memory(scratch_dir("parity"));
-        let (model, report, spill_report) =
-            measure_profile_clustered_compressed(&machine, &mapping, 16, noise, &cfg, &spill)
-                .unwrap();
-        assert!(bit_equal(&model.to_dense(), &dense.cost));
-        assert_eq!(report.measurements, dense_report.measurements);
+        let spill = SpillConfig::in_memory(scratch_dir("classes"));
+        let (model, _, spill_report) = sweep_locally(
+            &machine,
+            &RankMapping::Block,
+            16,
+            NoiseModel::realistic(5),
+            &SweepConfig::fast(),
+            &spill,
+        );
         assert_eq!(spill_report.spilled_tiles, 0);
         assert!(!spill.dir.exists(), "no-spill run must not touch disk");
         // The whole point: 4 pair + 2 diag classes instead of 16² values.
@@ -432,9 +348,7 @@ mod tests {
         let noise = NoiseModel::realistic(9);
         let cfg = SweepConfig::fast();
         let unspilled = SpillConfig::in_memory(scratch_dir("nospill"));
-        let (a, _, ra) =
-            measure_profile_clustered_compressed(&machine, &mapping, 24, noise, &cfg, &unspilled)
-                .unwrap();
+        let (a, _, ra) = sweep_locally(&machine, &mapping, 24, noise, &cfg, &unspilled);
         assert_eq!(ra.spilled_tiles, 0);
         // A budget below one tile (3 rows × 24 cols × 2 B = 144 B) forces
         // every tile through the spill directory.
@@ -443,9 +357,7 @@ mod tests {
             tile_rows: 3,
             ..SpillConfig::in_memory(scratch_dir("allspill"))
         };
-        let (b, _, rb) =
-            measure_profile_clustered_compressed(&machine, &mapping, 24, noise, &cfg, &spilled)
-                .unwrap();
+        let (b, _, rb) = sweep_locally(&machine, &mapping, 24, noise, &cfg, &spilled);
         assert_eq!(rb.tiles, 8);
         assert_eq!(rb.spilled_tiles, 8);
         assert_eq!(rb.spill_bytes, 24 * 24 * 2);
@@ -469,72 +381,24 @@ mod tests {
             tile_rows: 4,
             ..SpillConfig::in_memory(scratch_dir("mixed"))
         };
-        let (mixed, _, report) =
-            measure_profile_clustered_compressed(&machine, &mapping, 32, noise, &cfg, &spill)
-                .unwrap();
+        let (mixed, _, report) = sweep_locally(&machine, &mapping, 32, noise, &cfg, &spill);
         assert_eq!(report.tiles, 8);
         assert_eq!(report.spilled_tiles, 6);
         assert_eq!(report.staged_peak_bytes, 512);
         let baseline = SpillConfig::in_memory(scratch_dir("mixed_base"));
-        let (full, _, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, 32, noise, &cfg, &baseline)
-                .unwrap();
+        let (full, _, _) = sweep_locally(&machine, &mapping, 32, noise, &cfg, &baseline);
         assert_eq!(mixed.fingerprint(), full.fingerprint());
         assert_eq!(mixed.grid(), full.grid());
         fs::remove_dir_all(&spill.dir).unwrap();
     }
 
     #[test]
-    fn exploded_members_scatter_their_exact_values() {
-        // explode_rel_tol = 0 explodes every class with measurable
-        // scatter; the compressed scatter must then carry per-member
-        // values, matching the dense sweep (which matches the exhaustive
-        // sweep) bit for bit.
-        let machine = MachineSpec::dual_quad_cluster(2);
-        let mapping = RankMapping::Block;
-        let noise = NoiseModel::realistic(13);
-        let cfg = SweepConfig {
-            explode_rel_tol: 0.0,
-            ..SweepConfig::fast()
-        };
-        let (dense, _) = measure_profile_clustered(&machine, &mapping, 16, noise, &cfg);
-        let spill = SpillConfig::in_memory(scratch_dir("exploded"));
-        let (model, report, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, 16, noise, &cfg, &spill)
-                .unwrap();
-        assert!(report.exploded_pair_classes > 0);
-        assert!(bit_equal(&model.to_dense(), &dense.cost));
-        // Exploded members each occupy their own appended class.
-        assert!(model.classes() > 6, "classes = {}", model.classes());
-    }
-
-    #[test]
-    fn asymmetric_sweeps_compress_too() {
-        let machine = MachineSpec::new(2, 2, 2);
-        let mapping = RankMapping::RoundRobin;
-        let noise = NoiseModel::realistic(4);
-        let cfg = SweepConfig {
-            profiling: crate::profiling::ProfilingConfig {
-                symmetric: false,
-                ..crate::profiling::ProfilingConfig::fast()
-            },
-            ..SweepConfig::fast()
-        };
-        let (dense, _) = measure_profile_clustered(&machine, &mapping, 8, noise, &cfg);
-        let spill = SpillConfig::in_memory(scratch_dir("asym"));
-        let (model, _, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, 8, noise, &cfg, &spill)
-                .unwrap();
-        assert!(bit_equal(&model.to_dense(), &dense.cost));
-    }
-
-    #[test]
     fn class_overflow_is_reported_not_truncated() {
         // ExactExtractor at p = 384 yields 384·383/2 = 73 536 singleton
-        // pair classes — past the u16 grid's 65 536. The scatter must
-        // refuse up front (before measuring would even be attempted —
-        // we synthesize the measurement phase's output to keep the test
-        // fast).
+        // pair classes — past the u16 grid's 65 536. The sweep rejects
+        // this before measuring; the scatter's own check (which also
+        // counts exploded members) must refuse it too rather than
+        // truncate ids. The measurement phase's output is synthesized.
         let machine = MachineSpec::new(48, 2, 4);
         let p = 384;
         let cores = RankMapping::Block.place(&machine, p);

@@ -1,14 +1,20 @@
-//! The decomposed profiling sweep: classing → representatives → scatter.
+//! The profiling sweep: classing → representatives → scatter.
 //!
-//! The exhaustive §IV-A driver ([`crate::profiling::measure_profile`])
-//! runs `|P|(|P|−1)/2` pairwise benchmarks; at `P = 4096` that is 8.4
-//! million measurement schedules — hours of wall clock for matrices whose
-//! entries repeat a handful of values. This module is the Parsimon-style
-//! decomposition of that sweep into three independent layers:
+//! The paper profiles a machine with `|P|(|P|−1)/2` pairwise benchmarks
+//! (§IV-A) and notes that one measurement per class of similar pairs,
+//! replicated across the class, loses no significant information (§IV-B).
+//! [`measure_profile_compressed`] is the one sweep that does both, in
+//! three independent layers:
 //!
 //! 1. **classing** — pairs are grouped into equivalence classes by
 //!    feature vector ([`hbar_topo::features`]; exact hashing in
-//!    [`hbar_core::clustering::classify_pairs`]);
+//!    [`hbar_core::clustering::classify_pairs`]). Two regimes:
+//!    [`SweepConfig::exact_classes`] makes every pair its own class, so
+//!    the sweep *is* the exhaustive §IV-A sweep, measurement for
+//!    measurement under the same sub-seeds; otherwise topology features
+//!    (link class, hop signature, socket relation, noise regime) group
+//!    pairs, the generalization of §IV-B's one-pair-per-link-class
+//!    shortcut;
 //! 2. **execution** — one *representative* per class is measured, plus a
 //!    configurable number of *validation probes* (other members measured
 //!    under their own sub-seeds) that estimate the within-class scatter;
@@ -20,37 +26,32 @@
 //!    [`hbar_stats::median`]) — the same implementation the `*-perf`
 //!    harnesses measure under, pinned bit-identical to the historical
 //!    in-module code by the `stopping_parity` regression test. Work
-//!    items are
-//!    self-contained [`PairWorkDescriptor`]s, so execution can fan out to
-//!    a work-stealing thread pool ([`LocalExecutor`]) or a TCP worker
-//!    fleet ([`crate::distrib`]) interchangeably;
-//! 3. **scatter** — class estimates are written back (mirrored, per the
-//!    symmetric-link assumption) into the full `|P|²` matrices.
+//!    items are self-contained [`PairWorkDescriptor`]s, so execution can
+//!    fan out to a work-stealing thread pool ([`LocalExecutor`]) or a TCP
+//!    worker fleet ([`crate::distrib`]) interchangeably;
+//! 3. **scatter** — class estimates are written into a
+//!    [`CompressedCostModel`] class grid, tile-at-a-time under a memory
+//!    budget ([`crate::scatter`]). `model.to_dense()` gives the full
+//!    `|P|²` matrices when a caller needs them.
 //!
 //! Everything is seed-deterministic: descriptors carry their noise
 //! sub-seed, representatives and probes are chosen by deterministic scan
 //! order and counter-hash reservoirs, and estimates are medians over a
 //! fixed sample order — so local, distributed, and differently-threaded
-//! runs produce bit-identical profiles.
-//!
-//! In the **singleton regime** — every class has exactly one member, as
-//! forced by [`SweepConfig::exact_classes`] or produced naturally by a
-//! fully heterogeneous machine — the clustered sweep performs exactly the
-//! exhaustive sweep's measurements under the same sub-seeds and must
-//! reproduce [`crate::profiling::measure_profile`] bit-for-bit. The
-//! regression harness (`profile-perf`) gates on this.
+//! runs produce bit-identical profiles. The `stopping_parity` golden
+//! fingerprints pin the numbers of every regime, and `hbar-bench`'s
+//! `profile_parity` test holds the exact regime to the frozen exhaustive
+//! sweep bit for bit.
 
 use crate::noise::NoiseModel;
 use crate::profiling::{diag_sub_seed, measure_pair, pair_bench, pair_sub_seed, ProfilingConfig};
+use crate::scatter::{scatter_compressed_tiles, SpillConfig, SpillReport};
 use hbar_core::clustering::{classify_pairs, ClassingConfig, PairClassing};
-use hbar_matrix::DenseMatrix;
 use hbar_stats::StoppingRule;
-use hbar_topo::compressed::CompressError;
-use hbar_topo::cost::CostMatrices;
+use hbar_topo::compressed::{CompressError, CompressedCostModel, MAX_CLASSES};
 use hbar_topo::features::{ExactExtractor, PairFeatureExtractor, TopologyExtractor};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
-use hbar_topo::profile::TopologyProfile;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -102,10 +103,10 @@ pub struct PairSample {
     pub l: f64,
 }
 
-/// Errors of the decomposed sweep. The distributed layer contributes the
+/// Errors of the sweep. The distributed layer contributes the
 /// socket/protocol variants; the class-compressed scatter
 /// ([`crate::scatter`]) contributes spill i/o and model-construction
-/// failures. Local dense execution is infallible.
+/// failures. Local execution below the class limit is infallible.
 #[derive(Debug)]
 pub enum SweepError {
     /// Socket-level failure talking to a worker, or spill-file i/o.
@@ -118,8 +119,8 @@ pub enum SweepError {
         /// Batches never executed.
         remaining_batches: usize,
     },
-    /// The compressed scatter could not build a valid class model (e.g.
-    /// the class space overflowed the `u16` grid).
+    /// The sweep could not build a valid class model (e.g. the class
+    /// space overflowed the `u16` grid — exact classes above `P = 361`).
     Compress(CompressError),
 }
 
@@ -132,7 +133,7 @@ impl std::fmt::Display for SweepError {
                 f,
                 "all workers exhausted with {remaining_batches} batches unexecuted"
             ),
-            SweepError::Compress(e) => write!(f, "compressed scatter failed: {e}"),
+            SweepError::Compress(e) => write!(f, "class model failed: {e}"),
         }
     }
 }
@@ -239,7 +240,7 @@ fn scaled_config(cfg: &ProfilingConfig, scale: u32) -> ProfilingConfig {
     }
 }
 
-/// Tuning knobs of the decomposed sweep.
+/// Tuning knobs of the sweep.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
     /// The per-measurement benchmark schedule (sizes, repetitions,
@@ -265,7 +266,8 @@ pub struct SweepConfig {
     pub explode_rel_tol: f64,
     /// Class every pair by exact identity instead of topology features —
     /// the sweep degenerates to the exhaustive one (the bit-parity
-    /// regime).
+    /// regime). The `u16` class grid caps this at `P(P+1)/2 ≤ 65536`
+    /// classes: `P ≤ 361` symmetric, `P ≤ 256` asymmetric.
     pub exact_classes: bool,
 }
 
@@ -295,9 +297,8 @@ impl SweepConfig {
         }
     }
 
-    /// The singleton-class configuration used by the parity gates:
-    /// exact classes, no probes, no growth — measurement-for-measurement
-    /// identical to the exhaustive sweep.
+    /// The exhaustive §IV-A sweep: exact classes, no probes, no growth —
+    /// measurement-for-measurement identical to benchmarking every pair.
     pub fn exact(profiling: ProfilingConfig) -> Self {
         SweepConfig {
             profiling,
@@ -324,7 +325,7 @@ pub struct ClassStats {
     pub rel_spread_l: f64,
 }
 
-/// What the decomposed sweep did and how trustworthy its shortcut is.
+/// What the sweep did and how trustworthy its shortcut is.
 #[derive(Clone, Debug, Default)]
 pub struct SweepReport {
     /// Off-diagonal pairs covered by the scatter.
@@ -362,24 +363,6 @@ impl SweepReport {
     }
 }
 
-/// Clustered profiling with local work-stealing execution — the
-/// drop-in accelerated replacement for
-/// [`crate::profiling::measure_profile`].
-///
-/// # Panics
-/// Panics if `p < 2` or the mapping cannot place `p` ranks.
-pub fn measure_profile_clustered(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &SweepConfig,
-) -> (TopologyProfile, SweepReport) {
-    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
-    measure_profile_decomposed(machine, mapping, p, noise, cfg, &mut executor)
-        .expect("local execution is infallible")
-}
-
 /// Quantizes a noise model into the feature-vector regime code: pairs
 /// measured under different regimes never share a representative.
 pub fn noise_regime_of(noise: &NoiseModel) -> u16 {
@@ -398,22 +381,29 @@ pub fn noise_regime_of(noise: &NoiseModel) -> u16 {
     1 + ((jitter << 4) | spike)
 }
 
-/// The full decomposed sweep over an arbitrary executor. Classing,
-/// descriptor construction, adaptive growth, and scatter all happen here
-/// on the driver; only descriptor execution crosses the executor
-/// boundary. Results are merged by descriptor id, so the profile is
-/// independent of executor scheduling.
+/// Profiles `p` ranks of `machine` under `mapping`: classing, descriptor
+/// construction, adaptive growth, and scatter all happen here on the
+/// driver; only descriptor execution crosses the executor boundary.
+/// Results are merged by descriptor id, so the model is independent of
+/// executor scheduling. The scatter builds a [`CompressedCostModel`]
+/// tile-at-a-time under `spill`'s budget; `model.to_dense()` expands it
+/// to the full `|P|²` matrices.
+///
+/// The class space is checked against the `u16` grid right after
+/// classing, before any descriptor runs, and again after the explosion
+/// valve (whose members add classes).
 ///
 /// # Panics
 /// Panics if `p < 2` or the mapping cannot place `p` ranks.
-pub fn measure_profile_decomposed(
+pub fn measure_profile_compressed(
     machine: &MachineSpec,
     mapping: &RankMapping,
     p: usize,
     noise: NoiseModel,
     cfg: &SweepConfig,
+    spill: &SpillConfig,
     executor: &mut dyn DescriptorExecutor,
-) -> Result<(TopologyProfile, SweepReport), SweepError> {
+) -> Result<(CompressedCostModel, SweepReport, SpillReport), SweepError> {
     assert!(p >= 2, "profiling needs at least two ranks, got {p}");
     let cores = mapping.place(machine, p);
     let regime = noise_regime_of(&noise);
@@ -421,7 +411,7 @@ pub fn measure_profile_decomposed(
     let exact_extractor = ExactExtractor {
         noise_regime: regime,
     };
-    let extractor: &dyn PairFeatureExtractor = if cfg.exact_classes {
+    let extractor: &(dyn PairFeatureExtractor + Sync) = if cfg.exact_classes {
         &exact_extractor
     } else {
         &topo_extractor
@@ -437,19 +427,23 @@ pub fn measure_profile_decomposed(
             probe_seed: cfg.probe_seed,
         },
     );
-
-    let (cost, report) =
-        run_classed_sweep(machine, &cores, &classing, extractor, noise, cfg, executor)?;
-
-    Ok((
-        TopologyProfile {
-            machine: machine.clone(),
-            mapping: mapping.clone(),
-            p,
-            cost,
-        },
-        report,
-    ))
+    let needed = classing.pair_classes.len() + classing.diag_classes.len();
+    if needed > MAX_CLASSES {
+        return Err(SweepError::Compress(CompressError::ClassOverflow {
+            needed,
+        }));
+    }
+    let (m, report) = measure_classes(machine, &cores, &classing, extractor, noise, cfg, executor)?;
+    let (model, spill_report) = scatter_compressed_tiles(
+        machine,
+        &cores,
+        &classing,
+        extractor,
+        cfg.profiling.symmetric,
+        &m,
+        spill,
+    )?;
+    Ok((model, report, spill_report))
 }
 
 /// One class's sample set across growth rounds.
@@ -459,11 +453,45 @@ struct ClassSamples {
     rep_scale: u32,
 }
 
+impl ClassSamples {
+    fn new(members: usize) -> Self {
+        ClassSamples {
+            values: vec![(f64::NAN, f64::NAN); members],
+            rep_scale: 1,
+        }
+    }
+
+    fn stats(&self) -> ClassStats {
+        let (rel_spread_o, rel_spread_l) = rel_spreads(&self.values);
+        ClassStats {
+            samples: self.values.len(),
+            rep_scale: self.rep_scale,
+            rel_spread_o,
+            rel_spread_l,
+        }
+    }
+
+    /// The worse of the `O` and `L` relative scatters.
+    fn spread(&self) -> f64 {
+        let (so, sl) = rel_spreads(&self.values);
+        so.max(sl)
+    }
+
+    /// Doubles the repetitions if `rule` says the scatter is too wide;
+    /// returns whether it did.
+    fn grow_if(&mut self, rule: &StoppingRule) -> bool {
+        let grow = rule.should_grow(self.spread());
+        if grow {
+            self.rep_scale *= 2;
+        }
+        grow
+    }
+}
+
 /// Everything the measurement phase learned, in class space: per-class
 /// estimates, the explosion decisions, and the per-member exact
-/// measurements of exploded classes. Both scatter backends (dense
-/// matrices here, class-grid tiles in [`crate::scatter`]) consume this —
-/// it is `O(classes + exploded members)`, never `O(P²)`.
+/// measurements of exploded classes. The scatter ([`crate::scatter`])
+/// consumes this — it is `O(classes + exploded members)`, never `O(P²)`.
 pub(crate) struct ClassMeasurements {
     /// Median `(O, L)` per pair class.
     pub(crate) pair_estimates: Vec<(f64, f64)>,
@@ -479,27 +507,77 @@ pub(crate) struct ClassMeasurements {
     pub(crate) exploded_diags: HashMap<usize, f64>,
 }
 
-/// Executes the measurement plan for an already-built classing and
-/// scatters estimates into dense cost matrices.
-fn run_classed_sweep(
-    machine: &MachineSpec,
+/// The descriptor measuring pair `(i, j)` under its own sub-seed.
+fn pair_work(
+    id: usize,
+    (i, j): (usize, usize),
     cores: &[usize],
-    classing: &PairClassing,
-    extractor: &dyn PairFeatureExtractor,
-    noise: NoiseModel,
-    cfg: &SweepConfig,
+    seed: u64,
+    rep_scale: u32,
+) -> PairWorkDescriptor {
+    PairWorkDescriptor {
+        id: id as u32,
+        kind: WorkKind::Pair,
+        i: i as u32,
+        j: j as u32,
+        core_a: cores[i] as u32,
+        core_b: cores[j] as u32,
+        sub_seed: pair_sub_seed(i, j, seed),
+        rep_scale,
+    }
+}
+
+/// The descriptor measuring rank `i`'s `O_ii`, with its successor idle.
+fn diag_work(
+    id: usize,
+    i: usize,
+    cores: &[usize],
+    seed: u64,
+    rep_scale: u32,
+) -> PairWorkDescriptor {
+    let j = (i + 1) % cores.len();
+    PairWorkDescriptor {
+        id: id as u32,
+        kind: WorkKind::Diag,
+        i: i as u32,
+        j: j as u32,
+        core_a: cores[i] as u32,
+        core_b: cores[j] as u32,
+        sub_seed: diag_sub_seed(i, seed),
+        rep_scale,
+    }
+}
+
+/// Executes `descriptors` (whose ids are their indices) and returns the
+/// `(o, l)` of each, in descriptor order. Samples merge by id, so the
+/// result is independent of executor scheduling; a short, unknown or
+/// duplicate answer is a protocol error.
+fn run_batch(
     executor: &mut dyn DescriptorExecutor,
-) -> Result<(CostMatrices, SweepReport), SweepError> {
-    let (m, report) = measure_classes(machine, cores, classing, extractor, noise, cfg, executor)?;
-    let cost = scatter_dense(
-        machine,
-        cores,
-        classing,
-        extractor,
-        cfg.profiling.symmetric,
-        &m,
-    );
-    Ok((cost, report))
+    descriptors: &[PairWorkDescriptor],
+) -> Result<Vec<(f64, f64)>, SweepError> {
+    let samples = executor.execute_batch(descriptors)?;
+    if samples.len() != descriptors.len() {
+        return Err(SweepError::Protocol(format!(
+            "executor returned {} samples for {} descriptors",
+            samples.len(),
+            descriptors.len()
+        )));
+    }
+    let mut values = vec![None; descriptors.len()];
+    for s in samples {
+        let Some(slot) = values.get_mut(s.id as usize) else {
+            return Err(SweepError::Protocol(format!("unknown sample id {}", s.id)));
+        };
+        if slot.replace((s.o, s.l)).is_some() {
+            return Err(SweepError::Protocol(format!(
+                "duplicate sample id {}",
+                s.id
+            )));
+        }
+    }
+    // As many distinct in-range ids as descriptors: every slot is filled.
+    Ok(values.into_iter().flatten().collect())
 }
 
 /// The measurement phase: representatives + probes, adaptive growth, and
@@ -516,73 +594,25 @@ pub(crate) fn measure_classes(
     executor: &mut dyn DescriptorExecutor,
 ) -> Result<(ClassMeasurements, SweepReport), SweepError> {
     let p = cores.len();
-    let n_pair = classing.pair_classes.len();
-    let n_diag = classing.diag_classes.len();
-
-    // The members each class measures: representative first, then probes.
-    let pair_members: Vec<Vec<(u32, u32)>> = classing
+    let seed = noise.seed;
+    // Each class measures its representative first, then its probes.
+    let pair_members = |c: usize| {
+        let class = &classing.pair_classes[c];
+        std::iter::once(&class.representative).chain(&class.probes)
+    };
+    let diag_members = |c: usize| {
+        let class = &classing.diag_classes[c];
+        std::iter::once(&class.representative).chain(&class.probes)
+    };
+    let mut pair_samples: Vec<ClassSamples> = classing
         .pair_classes
         .iter()
-        .map(|c| {
-            let mut m = vec![c.representative];
-            m.extend_from_slice(&c.probes);
-            m
-        })
+        .map(|c| ClassSamples::new(1 + c.probes.len()))
         .collect();
-    let diag_members: Vec<Vec<u32>> = classing
+    let mut diag_samples: Vec<ClassSamples> = classing
         .diag_classes
         .iter()
-        .map(|c| {
-            let mut m = vec![c.representative];
-            m.extend_from_slice(&c.probes);
-            m
-        })
-        .collect();
-
-    // Descriptor builders. Ids encode (class, member) so responses merge
-    // deterministically regardless of executor scheduling: pair work
-    // first, diagonal work after.
-    let pair_desc = |class: usize, member: usize, scale: u32, id: u32| {
-        let (i, j) = pair_members[class][member];
-        PairWorkDescriptor {
-            id,
-            kind: WorkKind::Pair,
-            i,
-            j,
-            core_a: cores[i as usize] as u32,
-            core_b: cores[j as usize] as u32,
-            sub_seed: pair_sub_seed(i as usize, j as usize, noise.seed),
-            rep_scale: scale,
-        }
-    };
-    let diag_desc = |class: usize, member: usize, scale: u32, id: u32| {
-        let i = diag_members[class][member] as usize;
-        let partner = cores[(i + 1) % p];
-        PairWorkDescriptor {
-            id,
-            kind: WorkKind::Diag,
-            i: i as u32,
-            j: ((i + 1) % p) as u32,
-            core_a: cores[i] as u32,
-            core_b: partner as u32,
-            sub_seed: diag_sub_seed(i, noise.seed),
-            rep_scale: scale,
-        }
-    };
-
-    let mut pair_samples: Vec<ClassSamples> = pair_members
-        .iter()
-        .map(|m| ClassSamples {
-            values: vec![(f64::NAN, f64::NAN); m.len()],
-            rep_scale: 1,
-        })
-        .collect();
-    let mut diag_samples: Vec<ClassSamples> = diag_members
-        .iter()
-        .map(|m| ClassSamples {
-            values: vec![(f64::NAN, f64::NAN); m.len()],
-            rep_scale: 1,
-        })
+        .map(|c| ClassSamples::new(1 + c.probes.len()))
         .collect();
 
     let mut measurements = 0usize;
@@ -598,8 +628,8 @@ pub(crate) fn measure_classes(
 
     // Round 0 measures every class; later rounds re-measure only classes
     // whose scatter exceeds the tolerance, at doubled repetitions.
-    let mut pending_pairs: Vec<usize> = (0..n_pair).collect();
-    let mut pending_diags: Vec<usize> = (0..n_diag).collect();
+    let mut pending_pairs: Vec<usize> = (0..pair_samples.len()).collect();
+    let mut pending_diags: Vec<usize> = (0..diag_samples.len()).collect();
     for round in 0..=cfg.max_growth_rounds {
         if pending_pairs.is_empty() && pending_diags.is_empty() {
             break;
@@ -607,54 +637,33 @@ pub(crate) fn measure_classes(
         if round > 0 {
             growth_rounds = round;
         }
-        // Build the round's descriptors with a per-round id space, and a
-        // side table mapping id → (class slot, member slot).
+        // A per-round id space — pair work first, diagonal work after —
+        // with a side table mapping id → (diag?, class, member).
         let mut descriptors = Vec::new();
         let mut slots: Vec<(bool, usize, usize)> = Vec::new();
         for &c in &pending_pairs {
-            let scale = pair_samples[c].rep_scale;
-            for m in 0..pair_members[c].len() {
-                let id = descriptors.len() as u32;
-                descriptors.push(pair_desc(c, m, scale, id));
+            for (m, &(i, j)) in pair_members(c).enumerate() {
+                let scale = pair_samples[c].rep_scale;
+                let ij = (i as usize, j as usize);
+                descriptors.push(pair_work(descriptors.len(), ij, cores, seed, scale));
                 slots.push((false, c, m));
             }
         }
         for &c in &pending_diags {
-            let scale = diag_samples[c].rep_scale;
-            for m in 0..diag_members[c].len() {
-                let id = descriptors.len() as u32;
-                descriptors.push(diag_desc(c, m, scale, id));
+            for (m, &i) in diag_members(c).enumerate() {
+                let scale = diag_samples[c].rep_scale;
+                descriptors.push(diag_work(descriptors.len(), i as usize, cores, seed, scale));
                 slots.push((true, c, m));
             }
         }
         measurements += descriptors.len();
-        let samples = executor.execute_batch(&descriptors)?;
-        if samples.len() != descriptors.len() {
-            return Err(SweepError::Protocol(format!(
-                "executor returned {} samples for {} descriptors",
-                samples.len(),
-                descriptors.len()
-            )));
-        }
-        let mut seen = vec![false; descriptors.len()];
-        for s in samples {
-            let Some(&(is_diag, c, m)) = slots.get(s.id as usize) else {
-                return Err(SweepError::Protocol(format!("unknown sample id {}", s.id)));
-            };
-            if std::mem::replace(&mut seen[s.id as usize], true) {
-                return Err(SweepError::Protocol(format!(
-                    "duplicate sample id {}",
-                    s.id
-                )));
-            }
+        // Diagonal work measures `O_ii` only: its `L` is 0 by definition.
+        for (&(is_diag, c, m), (o, l)) in slots.iter().zip(run_batch(executor, &descriptors)?) {
             if is_diag {
-                diag_samples[c].values[m] = (s.o, s.l);
+                diag_samples[c].values[m] = (o, 0.0);
             } else {
-                pair_samples[c].values[m] = (s.o, s.l);
+                pair_samples[c].values[m] = (o, l);
             }
-        }
-        if let Some(hole) = seen.iter().position(|&s| !s) {
-            return Err(SweepError::Protocol(format!("missing sample id {hole}")));
         }
 
         // Decide who grows. Only classes with ≥ 2 samples have a scatter
@@ -662,51 +671,25 @@ pub(crate) fn measure_classes(
         if round == cfg.max_growth_rounds {
             break;
         }
-        pending_pairs.retain(|&c| {
-            let s = &mut pair_samples[c];
-            let (so, sl) = rel_spreads(&s.values);
-            if rule.should_grow(so.max(sl)) {
-                s.rep_scale *= 2;
-                true
-            } else {
-                false
-            }
-        });
-        pending_diags.retain(|&c| {
-            let s = &mut diag_samples[c];
-            let (so, _) = rel_spreads(&s.values);
-            if rule.should_grow(so) {
-                s.rep_scale *= 2;
-                true
-            } else {
-                false
-            }
-        });
+        pending_pairs.retain(|&c| pair_samples[c].grow_if(&rule));
+        pending_diags.retain(|&c| diag_samples[c].grow_if(&rule));
     }
 
     // Per-class estimates: the median over the class's samples. A
     // singleton class's estimate is exactly its (sole) measurement.
     let pair_estimates: Vec<(f64, f64)> = pair_samples.iter().map(|s| medians(&s.values)).collect();
     let diag_estimates: Vec<f64> = diag_samples.iter().map(|s| medians(&s.values).0).collect();
-
-    let symmetric = cfg.profiling.symmetric;
+    let pair_stats: Vec<ClassStats> = pair_samples.iter().map(ClassSamples::stats).collect();
+    let diag_stats: Vec<ClassStats> = diag_samples.iter().map(ClassSamples::stats).collect();
 
     // Safety valve: a class whose *validated* scatter still exceeds
     // `explode_rel_tol` after all growth rounds abandons the clustering
     // shortcut — every member is measured individually at the base
     // schedule under its own sub-seed, so those matrix entries are
     // exactly what the exhaustive sweep would have produced.
-    let explode_pair: Vec<bool> = pair_samples
-        .iter()
-        .map(|s| {
-            let (so, sl) = rel_spreads(&s.values);
-            so.max(sl) > cfg.explode_rel_tol
-        })
-        .collect();
-    let explode_diag: Vec<bool> = diag_samples
-        .iter()
-        .map(|s| rel_spreads(&s.values).0 > cfg.explode_rel_tol)
-        .collect();
+    let explode = |s: &ClassSamples| s.spread() > cfg.explode_rel_tol;
+    let explode_pair: Vec<bool> = pair_samples.iter().map(explode).collect();
+    let explode_diag: Vec<bool> = diag_samples.iter().map(explode).collect();
     let exploded_pair_classes = explode_pair.iter().filter(|&&b| b).count();
     let exploded_diag_classes = explode_diag.iter().filter(|&&b| b).count();
     let mut exploded_pairs: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
@@ -715,7 +698,7 @@ pub(crate) fn measure_classes(
         let mut descriptors = Vec::new();
         let mut keys: Vec<(bool, usize, usize)> = Vec::new();
         for i in 0..p {
-            let range: Box<dyn Iterator<Item = usize>> = if symmetric {
+            let range: Box<dyn Iterator<Item = usize>> = if cfg.profiling.symmetric {
                 Box::new((i + 1)..p)
             } else {
                 Box::new((0..p).filter(move |&j| j != i))
@@ -726,16 +709,7 @@ pub(crate) fn measure_classes(
                     .pair_class_index(&f)
                     .expect("explosion features must re-derive a seen class");
                 if explode_pair[c] {
-                    descriptors.push(PairWorkDescriptor {
-                        id: descriptors.len() as u32,
-                        kind: WorkKind::Pair,
-                        i: i as u32,
-                        j: j as u32,
-                        core_a: cores[i] as u32,
-                        core_b: cores[j] as u32,
-                        sub_seed: pair_sub_seed(i, j, noise.seed),
-                        rep_scale: 1,
-                    });
+                    descriptors.push(pair_work(descriptors.len(), (i, j), cores, seed, 1));
                     keys.push((false, i, j));
                 }
             }
@@ -744,86 +718,31 @@ pub(crate) fn measure_classes(
                 .diag_class_index(&f)
                 .expect("explosion features must re-derive a seen diag class");
             if explode_diag[c] {
-                descriptors.push(PairWorkDescriptor {
-                    id: descriptors.len() as u32,
-                    kind: WorkKind::Diag,
-                    i: i as u32,
-                    j: ((i + 1) % p) as u32,
-                    core_a: cores[i] as u32,
-                    core_b: cores[(i + 1) % p] as u32,
-                    sub_seed: diag_sub_seed(i, noise.seed),
-                    rep_scale: 1,
-                });
+                descriptors.push(diag_work(descriptors.len(), i, cores, seed, 1));
                 keys.push((true, i, i));
             }
         }
         measurements += descriptors.len();
-        let samples = executor.execute_batch(&descriptors)?;
-        if samples.len() != descriptors.len() {
-            return Err(SweepError::Protocol(format!(
-                "executor returned {} samples for {} exploded descriptors",
-                samples.len(),
-                descriptors.len()
-            )));
-        }
-        let mut seen = vec![false; descriptors.len()];
-        for s in samples {
-            let Some(&(is_diag, i, j)) = keys.get(s.id as usize) else {
-                return Err(SweepError::Protocol(format!("unknown sample id {}", s.id)));
-            };
-            if std::mem::replace(&mut seen[s.id as usize], true) {
-                return Err(SweepError::Protocol(format!(
-                    "duplicate sample id {}",
-                    s.id
-                )));
-            }
+        for (&(is_diag, i, j), (o, l)) in keys.iter().zip(run_batch(executor, &descriptors)?) {
             if is_diag {
-                exploded_diags.insert(i, s.o);
+                exploded_diags.insert(i, o);
             } else {
-                exploded_pairs.insert((i, j), (s.o, s.l));
+                exploded_pairs.insert((i, j), (o, l));
             }
-        }
-        if let Some(hole) = seen.iter().position(|&s| !s) {
-            return Err(SweepError::Protocol(format!("missing sample id {hole}")));
         }
     }
 
     // Report.
-    let mut pair_stats = Vec::with_capacity(n_pair);
-    for s in &pair_samples {
-        let (so, sl) = rel_spreads(&s.values);
-        pair_stats.push(ClassStats {
-            samples: s.values.len(),
-            rep_scale: s.rep_scale,
-            rel_spread_o: so,
-            rel_spread_l: sl,
-        });
-    }
-    let mut diag_stats = Vec::with_capacity(n_diag);
-    for s in &diag_samples {
-        let (so, _) = rel_spreads(&s.values);
-        diag_stats.push(ClassStats {
-            samples: s.values.len(),
-            rep_scale: s.rep_scale,
-            rel_spread_o: so,
-            rel_spread_l: 0.0,
-        });
-    }
     let spreads: Vec<f64> = pair_stats
         .iter()
+        .chain(&diag_stats)
         .filter(|st| st.samples >= 2)
         .map(|st| st.rel_spread_o.max(st.rel_spread_l))
-        .chain(
-            diag_stats
-                .iter()
-                .filter(|st| st.samples >= 2)
-                .map(|st| st.rel_spread_o),
-        )
         .collect();
     let report = SweepReport {
         total_pairs: classing.total_pairs,
-        pair_classes: n_pair,
-        diag_classes: n_diag,
+        pair_classes: pair_stats.len(),
+        diag_classes: diag_stats.len(),
         measurements,
         growth_rounds,
         exploded_pair_classes,
@@ -851,60 +770,6 @@ pub(crate) fn measure_classes(
     ))
 }
 
-/// The dense scatter: maps every matrix entry to its class estimate by
-/// re-deriving the entry's feature vector (same extractor, same placement
-/// — the classing saw identical features). Exploded classes scatter their
-/// per-member exact measurements instead. Allocates the full `|P|²`
-/// matrices; past P ≈ 4096 prefer the tiled class-grid scatter in
-/// [`crate::scatter`].
-fn scatter_dense(
-    machine: &MachineSpec,
-    cores: &[usize],
-    classing: &PairClassing,
-    extractor: &dyn PairFeatureExtractor,
-    symmetric: bool,
-    m: &ClassMeasurements,
-) -> CostMatrices {
-    let p = cores.len();
-    let mut o = DenseMatrix::new(p);
-    let mut l = DenseMatrix::new(p);
-    for i in 0..p {
-        let range: Box<dyn Iterator<Item = usize>> = if symmetric {
-            Box::new((i + 1)..p)
-        } else {
-            Box::new((0..p).filter(move |&j| j != i))
-        };
-        for j in range {
-            let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
-            let c = classing
-                .pair_class_index(&f)
-                .expect("scatter features must re-derive a seen class");
-            let (oij, lij) = if m.explode_pair[c] {
-                m.exploded_pairs[&(i, j)]
-            } else {
-                m.pair_estimates[c]
-            };
-            o[(i, j)] = oij;
-            l[(i, j)] = lij;
-            if symmetric {
-                o[(j, i)] = oij;
-                l[(j, i)] = lij;
-            }
-        }
-        let f = extractor.rank_features(machine, i, cores[i]);
-        let c = classing
-            .diag_class_index(&f)
-            .expect("scatter features must re-derive a seen diag class");
-        o[(i, i)] = if m.explode_diag[c] {
-            m.exploded_diags[&i]
-        } else {
-            m.diag_estimates[c]
-        };
-        l[(i, i)] = 0.0;
-    }
-    CostMatrices { o, l }
-}
-
 /// Relative scatter of the `(o, l)` samples around their medians,
 /// delegated component-wise to the shared rule
 /// ([`hbar_stats::rel_spread`]): `max |x − median| / max(|median|, ε)`,
@@ -927,20 +792,12 @@ fn medians(values: &[(f64, f64)]) -> (f64, f64) {
 
 /// Sequential single-descriptor executor used by the worker loop and
 /// available for debugging (no thread pool, same results).
-pub struct SequentialExecutor {
-    machine: MachineSpec,
-    noise: NoiseModel,
-    cfg: ProfilingConfig,
-}
+pub struct SequentialExecutor(LocalExecutor);
 
 impl SequentialExecutor {
     /// Executor measuring on `machine` under `noise` with schedule `cfg`.
     pub fn new(machine: MachineSpec, noise: NoiseModel, cfg: ProfilingConfig) -> Self {
-        SequentialExecutor {
-            machine,
-            noise,
-            cfg,
-        }
+        SequentialExecutor(LocalExecutor::new(machine, noise, cfg))
     }
 }
 
@@ -949,42 +806,49 @@ impl DescriptorExecutor for SequentialExecutor {
         &mut self,
         descriptors: &[PairWorkDescriptor],
     ) -> Result<Vec<PairSample>, SweepError> {
+        let LocalExecutor {
+            machine,
+            noise,
+            cfg,
+        } = &self.0;
         Ok(descriptors
             .iter()
-            .map(|d| execute_descriptor(&self.machine, self.noise, &self.cfg, d))
+            .map(|d| execute_descriptor(machine, *noise, cfg, d))
             .collect())
     }
+}
+
+/// [`measure_profile_compressed`] on a [`LocalExecutor`].
+#[cfg(test)]
+pub(crate) fn sweep_locally(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &SweepConfig,
+    spill: &SpillConfig,
+) -> (CompressedCostModel, SweepReport, SpillReport) {
+    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+    measure_profile_compressed(machine, mapping, p, noise, cfg, spill, &mut executor)
+        .expect("local sweep is infallible below the class limit")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiling::measure_profile;
+    use hbar_topo::cost::{CostMatrices, CostProvider};
 
-    fn bit_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
-        a.o.as_slice()
-            .iter()
-            .zip(b.o.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-            && a.l
-                .as_slice()
-                .iter()
-                .zip(b.l.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    #[test]
-    fn exact_classes_reproduce_exhaustive_sweep_bit_for_bit() {
-        let machine = MachineSpec::new(2, 2, 2);
-        let mapping = RankMapping::RoundRobin;
-        let noise = NoiseModel::realistic(11);
-        let cfg = ProfilingConfig::fast();
-        let full = measure_profile(&machine, &mapping, 8, noise, &cfg);
-        let (clustered, report) =
-            measure_profile_clustered(&machine, &mapping, 8, noise, &SweepConfig::exact(cfg));
-        assert!(bit_equal(&full.cost, &clustered.cost));
-        assert_eq!(report.measurements, 8 * 7 / 2 + 8);
-        assert_eq!(report.growth_rounds, 0);
+    /// The dense `(O, L)` matrices and report of a local in-memory sweep.
+    fn sweep(
+        machine: &MachineSpec,
+        mapping: &RankMapping,
+        p: usize,
+        noise: NoiseModel,
+        cfg: &SweepConfig,
+    ) -> (CostMatrices, SweepReport) {
+        let spill = SpillConfig::in_memory(std::env::temp_dir().join("hbar_sweep_unused"));
+        let (model, report, _) = sweep_locally(machine, mapping, p, noise, cfg, &spill);
+        (model.to_dense(), report)
     }
 
     #[test]
@@ -992,22 +856,33 @@ mod tests {
         // With the explosion tolerance at 0, every class with any
         // measurable scatter is exploded: all members get measured
         // individually under their own sub-seeds, so the whole profile
-        // must equal the exhaustive sweep bit for bit — *with topology
-        // classing still on*.
+        // must equal the exact (exhaustive) sweep bit for bit — *with
+        // topology classing still on*.
         let machine = MachineSpec::dual_quad_cluster(2);
         let mapping = RankMapping::Block;
         let noise = NoiseModel::realistic(13);
         let cfg = ProfilingConfig::fast();
-        let full = measure_profile(&machine, &mapping, 16, noise, &cfg);
+        let spill = SpillConfig::in_memory(std::env::temp_dir().join("hbar_sweep_unused"));
+        let (full, full_report, _) = sweep_locally(
+            &machine,
+            &mapping,
+            16,
+            noise,
+            &SweepConfig::exact(cfg),
+            &spill,
+        );
+        assert_eq!(full_report.measurements, 16 * 15 / 2 + 16);
         let sweep_cfg = SweepConfig {
             explode_rel_tol: 0.0,
             ..SweepConfig::fast()
         };
-        let (clustered, report) =
-            measure_profile_clustered(&machine, &mapping, 16, noise, &sweep_cfg);
+        let (exploded, report, _) =
+            sweep_locally(&machine, &mapping, 16, noise, &sweep_cfg, &spill);
         assert_eq!(report.exploded_pair_classes, 4);
         assert_eq!(report.exploded_diag_classes, 2);
-        assert!(bit_equal(&full.cost, &clustered.cost));
+        assert_eq!(exploded.fingerprint(), full.fingerprint());
+        // Exploded members each occupy their own appended class.
+        assert!(exploded.classes() > 6, "classes = {}", exploded.classes());
         // Explosion re-measures all 120 pairs + 16 diags on top of the
         // class representatives and probes.
         assert!(report.measurements >= 120 + 16, "{}", report.measurements);
@@ -1016,7 +891,7 @@ mod tests {
     #[test]
     fn tight_classes_never_explode() {
         let machine = MachineSpec::dual_quad_cluster(2);
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = sweep(
             &machine,
             &RankMapping::Block,
             16,
@@ -1031,53 +906,24 @@ mod tests {
     }
 
     #[test]
-    fn clustered_sweep_is_close_to_exhaustive_under_noise() {
-        let machine = MachineSpec::dual_quad_cluster(2);
-        let mapping = RankMapping::Block;
-        let noise = NoiseModel::realistic(5);
-        let cfg = ProfilingConfig::fast();
-        let full = measure_profile(&machine, &mapping, 16, noise, &cfg);
-        let (clustered, report) =
-            measure_profile_clustered(&machine, &mapping, 16, noise, &SweepConfig::fast());
-        assert_eq!(report.pair_classes, 4);
-        // Round 0 measures ≤ 18 descriptors (4 pair + 2 diag classes, ≤ 3
-        // samples each); even with both growth rounds firing that is ≤ 54 —
-        // well under the exhaustive 120 pairs + 16 diags.
-        assert!(report.measurements <= 54, "{}", report.measurements);
-        let mut worst = 0.0f64;
-        for i in 0..16 {
-            for j in 0..16 {
-                if i == j {
-                    continue;
-                }
-                let (a, b) = (clustered.cost.o[(i, j)], full.cost.o[(i, j)]);
-                worst = worst.max((a - b).abs() / b);
-                let (a, b) = (clustered.cost.l[(i, j)], full.cost.l[(i, j)]);
-                worst = worst.max((a - b).abs() / b);
-            }
-        }
-        assert!(worst < 0.2, "worst clustered-vs-full error {worst}");
-    }
-
-    #[test]
     fn clustered_profile_is_symmetric_and_complete() {
         let machine = MachineSpec::dual_hex_cluster(2);
-        let (prof, _) = measure_profile_clustered(
+        let (cost, _) = sweep(
             &machine,
             &RankMapping::RoundRobin,
             20,
             NoiseModel::realistic(3),
             &SweepConfig::fast(),
         );
-        assert!(prof.cost.o.is_symmetric());
-        assert!(prof.cost.l.is_symmetric());
+        assert!(cost.o.is_symmetric());
+        assert!(cost.l.is_symmetric());
         for i in 0..20 {
-            assert!(prof.cost.o[(i, i)] > 0.0);
-            assert_eq!(prof.cost.l[(i, i)], 0.0);
+            assert!(cost.o[(i, i)] > 0.0);
+            assert_eq!(cost.l[(i, i)], 0.0);
             for j in 0..20 {
                 if i != j {
-                    assert!(prof.cost.o[(i, j)] > 0.0, "hole at ({i},{j})");
-                    assert!(prof.cost.l[(i, j)] > 0.0, "hole at ({i},{j})");
+                    assert!(cost.o[(i, j)] > 0.0, "hole at ({i},{j})");
+                    assert!(cost.l[(i, j)] > 0.0, "hole at ({i},{j})");
                 }
             }
         }
@@ -1088,12 +934,21 @@ mod tests {
         let machine = MachineSpec::new(2, 1, 2);
         let noise = NoiseModel::realistic(7);
         let cfg = SweepConfig::fast();
-        let (a, _) = measure_profile_clustered(&machine, &RankMapping::Block, 4, noise, &cfg);
+        let spill = SpillConfig::in_memory(std::env::temp_dir().join("hbar_sweep_unused"));
+        let (a, _, _) = sweep_locally(&machine, &RankMapping::Block, 4, noise, &cfg, &spill);
         let mut seq = SequentialExecutor::new(machine.clone(), noise, cfg.profiling.clone());
-        let (b, _) =
-            measure_profile_decomposed(&machine, &RankMapping::Block, 4, noise, &cfg, &mut seq)
-                .unwrap();
-        assert!(bit_equal(&a.cost, &b.cost));
+        let (b, _, _) = measure_profile_compressed(
+            &machine,
+            &RankMapping::Block,
+            4,
+            noise,
+            &cfg,
+            &spill,
+            &mut seq,
+        )
+        .unwrap();
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.grid(), b.grid());
     }
 
     #[test]
@@ -1106,7 +961,7 @@ mod tests {
             max_growth_rounds: 2,
             ..SweepConfig::fast()
         };
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = sweep(
             &machine,
             &RankMapping::Block,
             16,
@@ -1120,7 +975,7 @@ mod tests {
             ci_rel_tol: f64::INFINITY,
             ..SweepConfig::fast()
         };
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = sweep(
             &machine,
             &RankMapping::Block,
             16,
@@ -1133,7 +988,7 @@ mod tests {
     #[test]
     fn report_reduction_factor_reflects_classing() {
         let machine = MachineSpec::dual_quad_cluster(4);
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = sweep(
             &machine,
             &RankMapping::Block,
             32,
@@ -1144,6 +999,49 @@ mod tests {
         // (2 probes configured) → far fewer measurements than 496 + 32.
         assert!(report.reduction_factor(32) > 10.0);
         assert_eq!(report.total_pairs, 496);
+    }
+
+    /// An executor that must never be reached.
+    struct Unreachable;
+
+    impl DescriptorExecutor for Unreachable {
+        fn execute_batch(
+            &mut self,
+            descriptors: &[PairWorkDescriptor],
+        ) -> Result<Vec<PairSample>, SweepError> {
+            panic!(
+                "{} descriptors executed past the class limit",
+                descriptors.len()
+            );
+        }
+    }
+
+    #[test]
+    fn class_overflow_is_rejected_before_measuring() {
+        // Exact classes need P(P−1)/2 pair + P diag classes: 65 703 at
+        // P = 362 (the first size past the u16 grid's 65 536) and 73 920
+        // at P = 384. The sweep must fail right after classing, without
+        // running a single benchmark.
+        let machine = MachineSpec::new(48, 2, 4);
+        let spill = SpillConfig::in_memory(std::env::temp_dir().join("hbar_sweep_unused"));
+        for p in [362, 384] {
+            let err = measure_profile_compressed(
+                &machine,
+                &RankMapping::Block,
+                p,
+                NoiseModel::none(),
+                &SweepConfig::exact(ProfilingConfig::fast()),
+                &spill,
+                &mut Unreachable,
+            )
+            .expect_err("must overflow");
+            match err {
+                SweepError::Compress(CompressError::ClassOverflow { needed }) => {
+                    assert_eq!(needed, p * (p - 1) / 2 + p);
+                }
+                other => panic!("wrong error at P={p}: {other}"),
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl TopologyProfile {
     /// truth. This is what an ideal, infinitely repeated benchmark run
     /// would converge to; tests and examples use it when measurement noise
     /// is irrelevant. The full system uses
-    /// `hbar_simnet::profiling::measure_profile`, which actually runs the
+    /// `hbar_simnet::measure_profile_compressed`, which actually runs the
     /// paper's benchmark procedure on the simulator.
     pub fn from_ground_truth(machine: &MachineSpec, mapping: &RankMapping) -> Self {
         Self::from_ground_truth_for(machine, mapping, machine.total_cores())

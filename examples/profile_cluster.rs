@@ -8,8 +8,10 @@
 //! ```
 
 use hbarrier::prelude::*;
-use hbarrier::simnet::profiling::{measure_profile, ProfilingConfig};
-use hbarrier::simnet::NoiseModel;
+use hbarrier::simnet::profiling::ProfilingConfig;
+use hbarrier::simnet::{
+    measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig,
+};
 use hbarrier::topo::heatmap::{block_means, render_labelled};
 use hbarrier::topo::machine::LinkClass;
 use hbarrier::topo::metric::DistanceMetric;
@@ -22,15 +24,29 @@ fn main() {
 
     // Run the paper's benchmark schedule: 21 payload sizes × 25 reps for
     // each O_ij, 32 burst lengths × 25 reps for each L_ij, plus the
-    // transmission-free O_ii calls. The noise model injects the jitter
-    // and preemption spikes real profiling runs suffer.
-    let profile = measure_profile(
+    // transmission-free O_ii calls — for every pair (`SweepConfig::exact`).
+    // The noise model injects the jitter and preemption spikes real
+    // profiling runs suffer.
+    let noise = NoiseModel::realistic(7);
+    let sweep_cfg = SweepConfig::exact(ProfilingConfig::default());
+    let mut executor = LocalExecutor::new(machine.clone(), noise, sweep_cfg.profiling.clone());
+    let spill = SpillConfig::in_memory(std::env::temp_dir());
+    let (model, _, _) = measure_profile_compressed(
         &machine,
         &mapping,
         8,
-        NoiseModel::realistic(7),
-        &ProfilingConfig::default(),
-    );
+        noise,
+        &sweep_cfg,
+        &spill,
+        &mut executor,
+    )
+    .expect("exact sweep of one node");
+    let profile = TopologyProfile {
+        machine: machine.clone(),
+        mapping,
+        p: 8,
+        cost: model.to_dense(),
+    };
 
     // Store and reload — the paper's decoupling of profiling from tuning.
     let dir = std::env::temp_dir().join("hbarrier_example");

@@ -3,7 +3,7 @@
 //! ```text
 //! hbar profile  --machine 8x2x4 --mapping rr --ranks 64 --out prof.json [--fast] [--seed N] [--exact-machine]
 //!               [--clustered] [--probes N] [--workers HOST:PORT,...] [--stop-workers]
-//!               [--compressed] [--mem-budget BYTES]
+//!               [--mem-budget BYTES]
 //! hbar profile-worker --listen HOST:PORT
 //! hbar serve    --listen HOST:PORT [--shards N] [--cache-cap N] [--cache-bytes N] [--workers N]
 //! hbar tune-client --connect HOST:PORT [--count N] [--requests N] [--seed N] [--zipf S]
@@ -25,18 +25,21 @@
 //! Machines are `NODESxSOCKETSxCORES` (e.g. `8x2x4`) or the presets
 //! `cluster-a` / `cluster-b`; mappings are `rr` (round-robin) or `block`.
 //!
-//! `--clustered` switches profiling to the decomposed sweep (one
-//! representative benchmark per pair-feature equivalence class plus
-//! validation probes, scattered into the full matrices); `--workers`
-//! additionally shards the measurements across `hbar profile-worker`
-//! TCP processes, falling back to local execution if the fleet dies.
+//! `hbar profile` runs one profiling sweep in one of two classing
+//! regimes. By default every pair is its own class: the exhaustive
+//! `|P|(|P|−1)/2` benchmark sweep of §IV-A, limited to P ≤ 361 by the
+//! `u16` class grid (larger runs fail before measuring anything).
+//! `--clustered` classes pairs by topology features instead: one
+//! representative benchmark per class plus `--probes` validation probes.
+//! `--workers` shards the measurements of either regime across
+//! `hbar profile-worker` TCP processes, falling back to local execution
+//! if the fleet dies.
 //!
-//! `--compressed` (implies `--clustered`) runs the out-of-core scatter:
-//! class-grid tiles are staged under `--mem-budget` bytes (default
-//! unbounded) and spilled to a scratch directory beyond it, so the
-//! sweep itself runs in bounded resident memory even at P ≫ 4096. The
-//! written profile is the standard dense document (expanded from the
-//! class grid on save, bit-identical to the dense sweep).
+//! The sweep scatters into a class grid, staging tiles under
+//! `--mem-budget` bytes (default unbounded) and spilling them to a
+//! scratch directory beyond it, so the sweep itself runs in bounded
+//! resident memory even at P ≫ 4096. The written profile is the
+//! standard dense document, expanded from the class grid on save.
 
 use hbarrier::core::codegen::{c_source, compile_schedule, rust_source};
 use hbarrier::core::compose::{tune_hybrid_for, TunerConfig};
@@ -48,10 +51,13 @@ use hbarrier::simnet::barrier::measure_schedule;
 use hbarrier::simnet::distrib::{
     serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
 };
-use hbarrier::simnet::profiling::{measure_profile, ProfilingConfig};
-use hbarrier::simnet::sweep::{measure_profile_clustered, measure_profile_decomposed, SweepConfig};
-use hbarrier::simnet::NoiseModel;
+use hbarrier::simnet::profiling::ProfilingConfig;
+use hbarrier::simnet::{
+    measure_profile_compressed, DescriptorExecutor, LocalExecutor, NoiseModel, SpillConfig,
+    SweepConfig, SweepError,
+};
 use hbarrier::topo::heatmap::render_labelled;
+use hbarrier::topo::CompressError;
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -115,7 +121,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 | "exact-scoring"
                 | "exact-machine"
                 | "clustered"
-                | "compressed"
                 | "stop-workers"
                 | "stats"
                 | "shutdown"
@@ -183,11 +188,6 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         None => machine.total_cores(),
     };
     let out = req(flags, "out")?;
-    // --workers implies the decomposed sweep: only classed descriptor
-    // batches can be shipped over the wire. --compressed implies it
-    // too: the class-grid scatter exists only for the classed sweep.
-    let compressed = flags.contains_key("compressed");
-    let clustered = flags.contains_key("clustered") || flags.contains_key("workers") || compressed;
     let mut summary = format!("{} pairwise estimates", p * (p - 1) / 2);
     let profile = if flags.contains_key("exact-machine") {
         // Closed-form noise-free profile (no benchmarking).
@@ -204,95 +204,96 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
             ProfilingConfig::default()
         };
         let noise = NoiseModel::realistic(seed);
-        if clustered {
-            let mut sweep_cfg = SweepConfig {
+        let mut sweep_cfg = if flags.contains_key("clustered") {
+            SweepConfig {
                 profiling: cfg,
                 ..SweepConfig::default()
-            };
-            if let Some(v) = flags.get("probes") {
-                sweep_cfg.probes_per_class = v.parse().map_err(|_| "bad --probes".to_string())?;
             }
-            let (profile, report) = if compressed {
-                use hbarrier::simnet::{measure_profile_clustered_compressed, SpillConfig};
-                if flags.contains_key("workers") {
-                    return Err(
-                        "--compressed runs locally; it cannot be combined with --workers"
-                            .to_string(),
-                    );
-                }
-                let dir =
-                    std::env::temp_dir().join(format!("hbar-profile-spill-{}", std::process::id()));
-                let spill = match flags.get("mem-budget") {
-                    Some(v) => {
-                        let bytes: usize = v
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n > 0)
-                            .ok_or_else(|| "bad --mem-budget".to_string())?;
-                        SpillConfig::budgeted(dir, bytes)
-                    }
-                    None => SpillConfig::in_memory(dir),
-                };
-                let (model, report, spilled) = measure_profile_clustered_compressed(
-                    &machine, &mapping, p, noise, &sweep_cfg, &spill,
-                )
-                .map_err(|e| format!("compressed sweep failed: {e}"))?;
-                println!(
-                    "scatter: {} classes in a {} B grid ({} of {} tiles spilled, {} B to disk)",
-                    model.classes(),
-                    model.heap_bytes(),
-                    spilled.spilled_tiles,
-                    spilled.tiles,
-                    spilled.spill_bytes
-                );
-                let profile = TopologyProfile {
-                    machine: machine.clone(),
-                    mapping,
-                    p,
-                    cost: model.to_dense(),
-                };
-                (profile, report)
-            } else if let Some(list) = flags.get("workers") {
-                let addrs: Vec<String> = list
-                    .split(',')
+        } else {
+            SweepConfig::exact(cfg)
+        };
+        if let Some(v) = flags.get("probes") {
+            sweep_cfg.probes_per_class = v.parse().map_err(|_| "bad --probes".to_string())?;
+        }
+        let dir = std::env::temp_dir().join(format!("hbar-profile-spill-{}", std::process::id()));
+        let spill = match flags.get("mem-budget") {
+            Some(v) => {
+                let bytes: usize = v
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or_else(|| "bad --mem-budget".to_string())?;
+                SpillConfig::budgeted(dir, bytes)
+            }
+            None => SpillConfig::in_memory(dir),
+        };
+        let workers: Vec<String> = flags
+            .get("workers")
+            .map(|list| {
+                list.split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .map(String::from)
-                    .collect();
-                if addrs.is_empty() {
-                    return Err("--workers needs at least one HOST:PORT".to_string());
-                }
-                let mut fleet = FleetExecutor::for_sweep(
-                    addrs.clone(),
-                    machine.clone(),
-                    noise,
-                    sweep_cfg.profiling.clone(),
-                    FleetOptions::default(),
-                );
-                let result = measure_profile_decomposed(
-                    &machine, &mapping, p, noise, &sweep_cfg, &mut fleet,
-                )
-                .map_err(|e| format!("distributed sweep failed: {e}"))?;
-                if flags.contains_key("stop-workers") {
-                    for a in &addrs {
-                        if let Err(e) = shutdown_worker(a.as_str()) {
-                            eprintln!("warning: cannot stop worker {a}: {e}");
-                        }
-                    }
-                }
-                result
-            } else {
-                measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg)
-            };
-            summary = format!(
-                "{} classes, {} measurements, {:.0}x fewer than exhaustive",
-                report.pair_classes + report.diag_classes,
-                report.measurements,
-                report.reduction_factor(p)
-            );
-            profile
+                    .collect()
+            })
+            .unwrap_or_default();
+        if flags.contains_key("workers") && workers.is_empty() {
+            return Err("--workers needs at least one HOST:PORT".to_string());
+        }
+        let mut executor: Box<dyn DescriptorExecutor> = if workers.is_empty() {
+            Box::new(LocalExecutor::new(
+                machine.clone(),
+                noise,
+                sweep_cfg.profiling.clone(),
+            ))
         } else {
-            measure_profile(&machine, &mapping, p, noise, &cfg)
+            Box::new(FleetExecutor::for_sweep(
+                workers.clone(),
+                machine.clone(),
+                noise,
+                sweep_cfg.profiling.clone(),
+                FleetOptions::default(),
+            ))
+        };
+        let result = measure_profile_compressed(
+            &machine,
+            &mapping,
+            p,
+            noise,
+            &sweep_cfg,
+            &spill,
+            executor.as_mut(),
+        );
+        if flags.contains_key("stop-workers") {
+            for a in &workers {
+                if let Err(e) = shutdown_worker(a.as_str()) {
+                    eprintln!("warning: cannot stop worker {a}: {e}");
+                }
+            }
+        }
+        let (model, report, spilled) = result.map_err(|e| {
+            let hint = match e {
+                SweepError::Compress(CompressError::ClassOverflow { .. }) => {
+                    " (exhaustive profiling holds at most 361 ranks; --clustered scales further)"
+                }
+                _ => "",
+            };
+            format!("profiling sweep failed: {e}{hint}")
+        })?;
+        summary = format!(
+            "{} classes, {} measurements, {:.0}x fewer than exhaustive, \
+             {} of {} scatter tiles spilled",
+            model.classes(),
+            report.measurements,
+            report.reduction_factor(p),
+            spilled.spilled_tiles,
+            spilled.tiles
+        );
+        TopologyProfile {
+            machine: machine.clone(),
+            mapping,
+            p,
+            cost: model.to_dense(),
         }
     };
     profile

@@ -130,6 +130,36 @@ fn measured_profile_via_cli_fast_mode() {
 }
 
 #[test]
+fn exhaustive_profile_past_the_class_limit_fails_before_measuring() {
+    // 384 ranks need 384·383/2 + 384 exact classes, past the u16 grid.
+    // The sweep refuses after classing, without running the ~74k pair
+    // benchmarks (which would take many minutes at the default schedule).
+    let dir = workdir("overflow");
+    let profile = dir.join("prof.json");
+    let started = std::time::Instant::now();
+    let o = hbar(&[
+        "profile",
+        "--machine",
+        "48x2x4",
+        "--ranks",
+        "384",
+        "--out",
+        profile.to_str().unwrap(),
+    ]);
+    assert!(!o.status.success(), "{}", stdout(&o));
+    let err = stderr(&o);
+    assert!(err.contains("73920 pair classes"), "{err}");
+    assert!(err.contains("--clustered"), "{err}");
+    assert!(!profile.exists());
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(60),
+        "took {:?}",
+        started.elapsed()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn verify_rejects_broken_schedule() {
     let dir = workdir("broken");
     let schedule = dir.join("bad.json");

@@ -5,12 +5,15 @@
 
 use hbarrier::core::algorithms::Algorithm;
 use hbarrier::core::codegen::compile_schedule;
+use hbarrier::core::compose::tune_hybrid_costs;
 use hbarrier::core::cost::{predict_barrier_cost, CostParams};
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::{measure_schedule, staggered_delay_check};
-use hbarrier::simnet::profiling::{measure_profile, ProfilingConfig};
-use hbarrier::simnet::NoiseModel;
+use hbarrier::simnet::profiling::ProfilingConfig;
+use hbarrier::simnet::{
+    measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig,
+};
 use hbarrier::threadrun::harness;
 
 /// The complete workflow of Fig. 1 on a 2-node machine, with a *measured*
@@ -21,18 +24,27 @@ fn measured_profile_to_tuned_barrier_end_to_end() {
     let mapping = RankMapping::RoundRobin;
     let p = 12;
 
-    // Part 1 of the method: collect the topology map.
-    let profile = measure_profile(
+    // Part 1 of the method: collect the topology map, benchmarking
+    // every pair.
+    let noise = NoiseModel::realistic(41);
+    let sweep_cfg = SweepConfig::exact(ProfilingConfig::fast());
+    let mut executor = LocalExecutor::new(machine.clone(), noise, sweep_cfg.profiling.clone());
+    let spill = SpillConfig::in_memory(std::env::temp_dir());
+    let (model, report, _) = measure_profile_compressed(
         &machine,
         &mapping,
         p,
-        NoiseModel::realistic(41),
-        &ProfilingConfig::fast(),
-    );
-    assert_eq!(profile.p, p);
+        noise,
+        &sweep_cfg,
+        &spill,
+        &mut executor,
+    )
+    .expect("exact sweep at P = 12");
+    assert_eq!(report.measurements, p * (p - 1) / 2 + p);
 
-    // Part 2: tune, verify, predict.
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    // Part 2: tune (straight from the compressed model), verify, predict.
+    let members: Vec<usize> = (0..p).collect();
+    let tuned = tune_hybrid_costs(&model, &members, &TunerConfig::default());
     assert!(verify::is_barrier(&tuned.schedule));
     assert!(tuned.predicted_cost > 0.0);
 
@@ -56,7 +68,6 @@ fn measured_profile_to_tuned_barrier_end_to_end() {
     );
 
     // The tuned barrier must also beat (or match) the neutral tree here.
-    let members: Vec<usize> = (0..p).collect();
     let neutral = Algorithm::Tree.full_schedule(p, &members);
     let neutral_time = measure_schedule(&mut world, &neutral, 10);
     assert!(
