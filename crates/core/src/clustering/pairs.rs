@@ -61,6 +61,11 @@ pub struct DiagClass {
 }
 
 /// The complete classing of a `P`-rank placement's profiling work.
+///
+/// Besides the classes, it keeps each rank's site and node and the
+/// relation tables that map `(site_i, site_j, same_node)` to a class, so
+/// [`PairClassing::class_of`] and [`PairClassing::diag_class_of`] answer
+/// in O(1) without recomputing features.
 #[derive(Clone, Debug, Default)]
 pub struct PairClassing {
     /// Off-diagonal classes, in first-appearance (scan) order.
@@ -69,9 +74,22 @@ pub struct PairClassing {
     pub diag_classes: Vec<DiagClass>,
     /// Total off-diagonal pairs scanned.
     pub total_pairs: usize,
-    pair_index: HashMap<PairFeatures, u32>,
-    diag_index: HashMap<RankFeatures, u32>,
+    symmetric: bool,
+    /// Per rank: its site, renumbered densely in first-appearance order.
+    sites: Vec<u32>,
+    /// Per rank: the node of its core.
+    nodes: Vec<u32>,
+    /// Distinct sites.
+    n_sites: usize,
+    /// Pair class per [`PairClassing::relation`], [`UNSEEN`] until the
+    /// scan meets that relation.
+    pair_table: Vec<u32>,
+    /// Diagonal class per site.
+    diag_table: Vec<u32>,
 }
+
+/// Relation-table entry the scan has not met yet.
+const UNSEEN: u32 = u32::MAX;
 
 /// Tuning knobs for [`classify_pairs`].
 #[derive(Clone, Copy, Debug)]
@@ -135,16 +153,45 @@ impl<T> Reservoir<T> {
 }
 
 impl PairClassing {
-    /// Index of the class containing a pair with these features, if the
-    /// classing saw one. Scatter uses this to map every matrix entry back
-    /// to its class estimate.
-    pub fn pair_class_index(&self, features: &PairFeatures) -> Option<usize> {
-        self.pair_index.get(features).map(|&i| i as usize)
+    /// Ranks classed.
+    pub fn p(&self) -> usize {
+        self.sites.len()
     }
 
-    /// Index of the diagonal class with these features.
-    pub fn diag_class_index(&self, features: &RankFeatures) -> Option<usize> {
-        self.diag_index.get(features).map(|&i| i as usize)
+    /// Whether the classing covers unordered pairs (`i < j`) only, as
+    /// [`ClassingConfig::symmetric`] asked.
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
+    }
+
+    /// Relation-table slot of the ordered pair `(i, j)`.
+    #[inline]
+    fn relation(&self, i: usize, j: usize) -> usize {
+        let key = self.sites[i] as usize * self.n_sites + self.sites[j] as usize;
+        (key << 1) | usize::from(self.nodes[i] == self.nodes[j])
+    }
+
+    /// Index of the pair class containing `(i, j)`. A symmetric classing
+    /// answers for `(min, max)`, the orientation it scanned.
+    ///
+    /// # Panics
+    /// Panics if a rank is out of range; `i == j` is a diagonal, see
+    /// [`PairClassing::diag_class_of`].
+    #[inline]
+    pub fn class_of(&self, i: usize, j: usize) -> usize {
+        debug_assert_ne!(i, j, "the diagonal has its own classes");
+        let (a, b) = if self.symmetric && i > j {
+            (j, i)
+        } else {
+            (i, j)
+        };
+        self.pair_table[self.relation(a, b)] as usize
+    }
+
+    /// Index of the diagonal class containing rank `i`.
+    #[inline]
+    pub fn diag_class_of(&self, i: usize) -> usize {
+        self.diag_table[self.sites[i] as usize] as usize
     }
 
     /// Total measurements the clustered sweep will run (representatives
@@ -172,6 +219,12 @@ impl PairClassing {
 /// Classes every profiling pair (and every diagonal) of a `p`-rank
 /// placement by its feature vector.
 ///
+/// The extractor's sites are computed once per rank. A pair's class is
+/// then looked up by its `(site_i, site_j, same_node)` relation; features
+/// are computed and hashed only when a relation first appears, which the
+/// extractor's factoring contract makes equivalent to hashing every
+/// pair's features.
+///
 /// Scan order is the exhaustive sweep's enumeration order — `i` outer,
 /// `j` inner — so representatives (first member seen) are deterministic
 /// and independent of thread count.
@@ -191,67 +244,83 @@ pub fn classify_pairs(
         "placement covers {} ranks, need {p}",
         cores.len()
     );
-    let mut classing = PairClassing::default();
-    let mut reservoirs: Vec<Reservoir<(u32, u32)>> = Vec::new();
-    let offer = |classing: &mut PairClassing,
-                 reservoirs: &mut Vec<Reservoir<(u32, u32)>>,
-                 i: usize,
-                 j: usize| {
-        let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
-        classing.total_pairs += 1;
-        match classing.pair_index.get(&f) {
-            Some(&idx) => {
-                let idx = idx as usize;
-                classing.pair_classes[idx].members += 1;
-                reservoirs[idx].offer((i as u32, j as u32));
-            }
-            None => {
-                let idx = classing.pair_classes.len() as u32;
-                classing.pair_index.insert(f, idx);
-                classing.pair_classes.push(PairClass {
-                    features: f,
-                    representative: (i as u32, j as u32),
-                    members: 1,
-                    probes: Vec::new(),
-                });
-                reservoirs.push(Reservoir::new(
-                    cfg.probes_per_class,
-                    splitmix64(cfg.probe_seed ^ (idx as u64)),
-                ));
-            }
-        }
+    let cores = &cores[..p];
+    let mut site_ids: HashMap<u32, u32> = HashMap::new();
+    let sites: Vec<u32> = cores
+        .iter()
+        .enumerate()
+        .map(|(i, &core)| {
+            let next = site_ids.len() as u32;
+            *site_ids
+                .entry(extractor.site(machine, i, core))
+                .or_insert(next)
+        })
+        .collect();
+    let n_sites = site_ids.len();
+    let mut classing = PairClassing {
+        symmetric: cfg.symmetric,
+        sites,
+        nodes: cores.iter().map(|&c| machine.core(c).node as u32).collect(),
+        n_sites,
+        pair_table: vec![UNSEEN; n_sites * n_sites * 2],
+        diag_table: vec![UNSEEN; n_sites],
+        ..PairClassing::default()
     };
-    if cfg.symmetric {
-        for i in 0..p {
-            for j in (i + 1)..p {
-                offer(&mut classing, &mut reservoirs, i, j);
+
+    let mut pair_index: HashMap<PairFeatures, u32> = HashMap::new();
+    let mut reservoirs: Vec<Reservoir<(u32, u32)>> = Vec::new();
+    for i in 0..p {
+        let js = if cfg.symmetric { i + 1..p } else { 0..p };
+        for j in js {
+            if j == i {
+                continue;
             }
-        }
-    } else {
-        for i in 0..p {
-            for j in 0..p {
-                if i != j {
-                    offer(&mut classing, &mut reservoirs, i, j);
+            let slot = classing.relation(i, j);
+            let mut idx = classing.pair_table[slot];
+            if idx == UNSEEN {
+                let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
+                if let Some(&known) = pair_index.get(&f) {
+                    idx = known;
+                } else {
+                    // First member: the representative, not a probe.
+                    let new = classing.pair_classes.len() as u32;
+                    pair_index.insert(f, new);
+                    classing.pair_classes.push(PairClass {
+                        features: f,
+                        representative: (i as u32, j as u32),
+                        members: 1,
+                        probes: Vec::new(),
+                    });
+                    reservoirs.push(Reservoir::new(
+                        cfg.probes_per_class,
+                        splitmix64(cfg.probe_seed ^ u64::from(new)),
+                    ));
+                    classing.pair_table[slot] = new;
+                    continue;
                 }
+                classing.pair_table[slot] = idx;
             }
+            reservoirs[idx as usize].offer((i as u32, j as u32));
         }
     }
     for (class, reservoir) in classing.pair_classes.iter_mut().zip(reservoirs) {
+        class.members = 1 + reservoir.seen as usize;
         class.probes = reservoir.items;
     }
+    classing.total_pairs = classing.pair_classes.iter().map(|c| c.members).sum();
 
+    let mut diag_index: HashMap<RankFeatures, u32> = HashMap::new();
     let mut diag_reservoirs: Vec<Reservoir<u32>> = Vec::new();
-    for (i, &core) in cores.iter().enumerate().take(p) {
-        let f = extractor.rank_features(machine, i, core);
-        match classing.diag_index.get(&f) {
-            Some(&idx) => {
-                let idx = idx as usize;
-                classing.diag_classes[idx].members += 1;
-                diag_reservoirs[idx].offer(i as u32);
-            }
-            None => {
-                let idx = classing.diag_classes.len() as u32;
-                classing.diag_index.insert(f, idx);
+    for (i, &core) in cores.iter().enumerate() {
+        let slot = classing.sites[i] as usize;
+        let mut idx = classing.diag_table[slot];
+        if idx == UNSEEN {
+            let f = extractor.rank_features(machine, i, core);
+            if let Some(&known) = diag_index.get(&f) {
+                idx = known;
+            } else {
+                let new = classing.diag_classes.len() as u32;
+                diag_index.insert(f, new);
                 classing.diag_classes.push(DiagClass {
                     features: f,
                     representative: i as u32,
@@ -260,12 +329,17 @@ pub fn classify_pairs(
                 });
                 diag_reservoirs.push(Reservoir::new(
                     cfg.probes_per_class,
-                    splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ (idx as u64)),
+                    splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ u64::from(new)),
                 ));
+                classing.diag_table[slot] = new;
+                continue;
             }
+            classing.diag_table[slot] = idx;
         }
+        diag_reservoirs[idx as usize].offer(i as u32);
     }
     for (class, reservoir) in classing.diag_classes.iter_mut().zip(diag_reservoirs) {
+        class.members = 1 + reservoir.seen as usize;
         class.probes = reservoir.items;
     }
     classing
@@ -425,14 +499,17 @@ mod tests {
     #[test]
     fn class_lookup_round_trips() {
         let machine = MachineSpec::dual_quad_cluster(2);
-        let cores = RankMapping::Block.place(&machine, 16);
+        let cores = RankMapping::RoundRobin.place(&machine, 16);
         let ex = TopologyExtractor::default();
         let classing = classify_pairs(&machine, &cores, 16, &ex, &ClassingConfig::default());
-        for (idx, class) in classing.pair_classes.iter().enumerate() {
-            assert_eq!(classing.pair_class_index(&class.features), Some(idx));
-        }
-        for (idx, class) in classing.diag_classes.iter().enumerate() {
-            assert_eq!(classing.diag_class_index(&class.features), Some(idx));
+        assert_eq!(classing.p(), 16);
+        for i in 0..16 {
+            let f = ex.rank_features(&machine, i, cores[i]);
+            assert_eq!(classing.diag_classes[classing.diag_class_of(i)].features, f);
+            for j in (0..16).filter(|&j| j != i) {
+                let f = ex.pair_features(&machine, (i, j), (cores[i], cores[j]));
+                assert_eq!(classing.pair_classes[classing.class_of(i, j)].features, f);
+            }
         }
     }
 

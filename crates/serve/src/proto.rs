@@ -27,9 +27,10 @@
 use hbar_core::cost::cost_fingerprint;
 use hbar_core::{TunerConfig, COST_FINGERPRINT_VERSION};
 use hbar_matrix::DenseMatrix;
+use hbar_simnet::wire::MAX_FRAME_LEN;
 use hbar_topo::cost::CostMatrices;
 use serde::{Deserialize, Serialize};
-use std::io;
+use std::{fmt, io};
 
 /// Frame tag: binary tune request.
 pub const FRAME_TUNE_REQ: u8 = 0x10;
@@ -52,14 +53,40 @@ pub const REQ_SCORE_EXACT: u8 = 1 << 1;
 /// schedule, so hit/miss behaviour cannot depend on it.
 pub const REQ_WANT_CODE: u8 = 1 << 2;
 
-/// Largest accepted rank count (matches the profiling sweep's envelope;
-/// a 4096² request is already a 256 MB payload — the frame cap binds
-/// first in practice).
-pub const MAX_RANKS: usize = 4096;
-
 /// Bytes of the fixed request header:
 /// `id:u64 | p:u32 | sparseness:f64 | max_depth:u32 | flags:u8`.
 pub const REQ_HEADER_LEN: usize = 25;
+
+/// Largest accepted rank count: the largest `p` whose dense request,
+/// `REQ_HEADER_LEN + 16·p²` bytes, fits one frame of
+/// [`MAX_FRAME_LEN`] bytes (2047 at 64 MiB). A larger request could never
+/// be framed.
+pub const MAX_RANKS: usize = max_ranks_in_frame(MAX_FRAME_LEN);
+
+/// The largest `p` with `REQ_HEADER_LEN + 16·p² ≤ frame_len`.
+const fn max_ranks_in_frame(frame_len: usize) -> usize {
+    let mut p = 0;
+    while REQ_HEADER_LEN + 16 * (p + 1) * (p + 1) <= frame_len {
+        p += 1;
+    }
+    p
+}
+
+/// A request declared a rank count outside `1..=MAX_RANKS`; the payload
+/// of the `InvalidData` error [`TuneRequest::decode`] returns for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankCountError {
+    /// The declared rank count.
+    pub p: usize,
+}
+
+impl fmt::Display for RankCountError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "rank count {} outside 1..={MAX_RANKS}", self.p)
+    }
+}
+
+impl std::error::Error for RankCountError {}
 
 /// One tuning request: the knobs that shape the tuner plus the measured
 /// cost matrices to tune against.
@@ -127,7 +154,10 @@ impl TuneRequest {
         let max_depth = u32::from_le_bytes(payload[20..24].try_into().expect("4 bytes"));
         let flags = payload[24];
         if p == 0 || p > MAX_RANKS {
-            return Err(fail(format!("rank count {p} outside 1..={MAX_RANKS}")));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                RankCountError { p },
+            ));
         }
         let expected = REQ_HEADER_LEN + 2 * p * p * 8;
         if payload.len() != expected {
@@ -396,6 +426,41 @@ mod tests {
         let mut bad_sparseness = buf;
         bad_sparseness[12..20].copy_from_slice(&(-1.0f64).to_le_bytes());
         assert!(TuneRequest::decode(&bad_sparseness).is_err());
+    }
+
+    /// A request header declaring `p` ranks, with no matrices.
+    fn header_for(p: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        TuneRequest::new(1, sample_cost(2)).encode_into(&mut buf);
+        buf.truncate(REQ_HEADER_LEN);
+        buf[8..12].copy_from_slice(&p.to_le_bytes());
+        buf
+    }
+
+    fn rank_count_error(err: &io::Error) -> Option<RankCountError> {
+        err.get_ref()?.downcast_ref::<RankCountError>().copied()
+    }
+
+    #[test]
+    fn rank_limit_is_the_largest_request_one_frame_holds() {
+        assert_eq!(MAX_RANKS, 2047);
+        let request_len = |p: usize| REQ_HEADER_LEN + 16 * p * p;
+        assert!(request_len(MAX_RANKS) <= MAX_FRAME_LEN);
+        assert!(request_len(MAX_RANKS + 1) > MAX_FRAME_LEN);
+        // At the limit, decode accepts the rank count and checks the
+        // payload length against the size arithmetic.
+        let err = TuneRequest::decode(&header_for(2047)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(rank_count_error(&err), None);
+        let expected = request_len(2047).to_string();
+        assert!(err.to_string().contains(&expected), "{err}");
+        // One past it is the rank-count error, before any length check.
+        let err = TuneRequest::decode(&header_for(2048)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(rank_count_error(&err), Some(RankCountError { p: 2048 }));
+        assert_eq!(err.to_string(), "rank count 2048 outside 1..=2047");
+        let err = TuneRequest::decode(&header_for(0)).unwrap_err();
+        assert_eq!(rank_count_error(&err), Some(RankCountError { p: 0 }));
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! of budget, tile size, or how many tiles spilled. Spill files are
 //! deleted as they are consumed.
 //!
+//! Each cell's class comes from the classing itself
+//! ([`PairClassing::class_of`] / [`PairClassing::diag_class_of`], a
+//! lookup through per-rank sites), so the scatter never computes
+//! features and needs neither the machine nor the extractor.
+//!
 //! The class space of the grid extends the classing's:
 //!
 //! * pair classes `0..n_pair` (the classing's indices, verbatim),
@@ -38,8 +43,6 @@
 use crate::sweep::{ClassMeasurements, SweepError};
 use hbar_core::clustering::PairClassing;
 use hbar_topo::compressed::{CompressError, CompressedCostModel, MAX_CLASSES};
-use hbar_topo::features::PairFeatureExtractor;
-use hbar_topo::machine::MachineSpec;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fs;
@@ -199,15 +202,11 @@ impl<'a> TileSink<'a> {
 /// The class-space check here counts exploded members too; the sweep
 /// checks classing alone before measuring anything.
 pub(crate) fn scatter_compressed_tiles(
-    machine: &MachineSpec,
-    cores: &[usize],
     classing: &PairClassing,
-    extractor: &(dyn PairFeatureExtractor + Sync),
-    symmetric: bool,
     m: &ClassMeasurements,
     spill: &SpillConfig,
 ) -> Result<(CompressedCostModel, SpillReport), SweepError> {
-    let p = cores.len();
+    let p = classing.p();
     let n_pair = classing.pair_classes.len();
     let n_diag = classing.diag_classes.len();
     let needed = n_pair + n_diag + m.exploded_pairs.len() + m.exploded_diags.len();
@@ -248,34 +247,25 @@ pub(crate) fn scatter_compressed_tiles(
         table_l.push(0.0);
     }
 
-    // Tile production. Each cell re-derives its features with the
-    // classing's extractor; symmetric classings saw only `(min, max)`
-    // orientations, so lookups use that orientation for both triangles.
+    // Tile production. Each cell asks the classing for its class; only
+    // exploded members need their position, in the orientation the
+    // classing scanned.
     let class_of_cell = |i: usize, j: usize| -> u16 {
         if i == j {
-            let f = extractor.rank_features(machine, i, cores[i]);
-            let c = classing
-                .diag_class_index(&f)
-                .expect("scatter features must re-derive a seen diag class");
+            let c = classing.diag_class_of(i);
             if m.explode_diag[c] {
                 exploded_diag_ids[&i]
             } else {
                 (n_pair + c) as u16
             }
         } else {
-            let (a, b) = if symmetric {
-                (i.min(j), i.max(j))
-            } else {
-                (i, j)
-            };
-            let f = extractor.pair_features(machine, (a, b), (cores[a], cores[b]));
-            let c = classing
-                .pair_class_index(&f)
-                .expect("scatter features must re-derive a seen class");
-            if m.explode_pair[c] {
-                exploded_pair_ids[&(a, b)]
-            } else {
+            let c = classing.class_of(i, j);
+            if !m.explode_pair[c] {
                 c as u16
+            } else if classing.is_symmetric() {
+                exploded_pair_ids[&(i.min(j), i.max(j))]
+            } else {
+                exploded_pair_ids[&(i, j)]
             }
         }
     };
@@ -283,16 +273,19 @@ pub(crate) fn scatter_compressed_tiles(
     let mut sink = TileSink::new(spill);
     for (tile_id, start) in (0..p).step_by(tile_rows).enumerate() {
         let rows = tile_rows.min(p - start);
-        // Row-parallel with order-preserving collect: the tile bytes are
-        // identical to a sequential fill regardless of thread count.
-        let row_data: Vec<Vec<u16>> = (start..start + rows)
+        // Row-parallel, each row written in place: every cell depends
+        // only on its position, so the tile bytes are identical to a
+        // sequential fill regardless of thread count.
+        let mut tile = vec![0u16; rows * p];
+        let row_slices: Vec<(usize, &mut [u16])> = (start..).zip(tile.chunks_mut(p)).collect();
+        row_slices
             .into_par_iter()
-            .map(|i| (0..p).map(|j| class_of_cell(i, j)).collect())
-            .collect();
-        let mut tile = Vec::with_capacity(rows * p);
-        for row in row_data {
-            tile.extend_from_slice(&row);
-        }
+            .map(|(i, row)| {
+                for (j, cell) in row.iter_mut().enumerate() {
+                    *cell = class_of_cell(i, j);
+                }
+            })
+            .collect::<Vec<()>>();
         sink.push(tile_id, tile)?;
     }
     let (grid, report) = sink.merge(p)?;
@@ -309,9 +302,12 @@ mod tests {
     use crate::NoiseModel;
     use hbar_core::clustering::{classify_pairs, ClassingConfig};
     use hbar_topo::cost::CostProvider;
-    use hbar_topo::features::ExactExtractor;
+    use hbar_topo::features::{
+        ExactExtractor, PairFeatureExtractor, PairFeatures, RankFeatures, TopologyExtractor,
+    };
+    use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         static NONCE: AtomicU32 = AtomicU32::new(0);
@@ -320,6 +316,68 @@ mod tests {
             std::process::id(),
             NONCE.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    /// A topology extractor that counts its feature calls.
+    #[derive(Default)]
+    struct CountingExtractor {
+        pair_calls: AtomicUsize,
+        rank_calls: AtomicUsize,
+    }
+
+    impl PairFeatureExtractor for CountingExtractor {
+        fn site(&self, machine: &MachineSpec, rank: usize, core: usize) -> u32 {
+            TopologyExtractor::default().site(machine, rank, core)
+        }
+
+        fn pair_features(
+            &self,
+            machine: &MachineSpec,
+            ranks: (usize, usize),
+            cores: (usize, usize),
+        ) -> PairFeatures {
+            self.pair_calls.fetch_add(1, Ordering::Relaxed);
+            TopologyExtractor::default().pair_features(machine, ranks, cores)
+        }
+
+        fn rank_features(&self, machine: &MachineSpec, rank: usize, core: usize) -> RankFeatures {
+            self.rank_calls.fetch_add(1, Ordering::Relaxed);
+            TopologyExtractor::default().rank_features(machine, rank, core)
+        }
+
+        fn noise_regime(&self) -> u16 {
+            0
+        }
+    }
+
+    #[test]
+    fn classing_and_scatter_compute_features_once_per_site_relation() {
+        // Dual-socket nodes: 2 sites, so at most 2 × 2 × 2 relations
+        // `(site_i, site_j, same_node)` and 2 diagonal sites, at any P.
+        let mut pair_calls = Vec::new();
+        for p in [64, 4096] {
+            let machine = MachineSpec::new(p / 8, 2, 4);
+            let cores = RankMapping::Block.place(&machine, p);
+            let ex = CountingExtractor::default();
+            let classing = classify_pairs(&machine, &cores, p, &ex, &ClassingConfig::default());
+            let (n_pair, n_diag) = (classing.pair_classes.len(), classing.diag_classes.len());
+            let m = ClassMeasurements {
+                pair_estimates: vec![(1e-6, 1e-7); n_pair],
+                diag_estimates: vec![1e-7; n_diag],
+                explode_pair: vec![false; n_pair],
+                explode_diag: vec![false; n_diag],
+                exploded_pairs: HashMap::new(),
+                exploded_diags: HashMap::new(),
+            };
+            let spill = SpillConfig::in_memory(scratch_dir("counting"));
+            let (model, _) = scatter_compressed_tiles(&classing, &m, &spill).unwrap();
+            assert_eq!(model.classes(), 6);
+            let calls = ex.pair_calls.load(Ordering::Relaxed);
+            assert!(calls <= 8, "{calls} pair feature calls at P = {p}");
+            assert!(ex.rank_calls.load(Ordering::Relaxed) <= 2);
+            pair_calls.push(calls);
+        }
+        assert_eq!(pair_calls[0], pair_calls[1], "feature calls grew with P");
     }
 
     #[test]
@@ -425,9 +483,7 @@ mod tests {
             exploded_diags: HashMap::new(),
         };
         let spill = SpillConfig::in_memory(scratch_dir("overflow"));
-        let err =
-            scatter_compressed_tiles(&machine, &cores, &classing, &extractor, true, &m, &spill)
-                .expect_err("must overflow");
+        let err = scatter_compressed_tiles(&classing, &m, &spill).expect_err("must overflow");
         match err {
             SweepError::Compress(CompressError::ClassOverflow { needed }) => {
                 assert_eq!(needed, n_pair + classing.diag_classes.len());

@@ -7,11 +7,16 @@
 //! three independent layers:
 //!
 //! 1. **classing** — pairs are grouped into equivalence classes by
-//!    feature vector ([`hbar_topo::features`]; exact hashing in
-//!    [`hbar_core::clustering::classify_pairs`]). Two regimes:
-//!    [`SweepConfig::exact_classes`] makes every pair its own class, so
-//!    the sweep *is* the exhaustive §IV-A sweep, measurement for
-//!    measurement under the same sub-seeds; otherwise topology features
+//!    feature vector ([`hbar_topo::features`];
+//!    [`hbar_core::clustering::classify_pairs`]). Features factor through
+//!    per-rank *sites*, so classing computes the `P` sites once and
+//!    resolves each pair's class through a small table keyed by
+//!    `(site_i, site_j, same_node)`, hashing features only when a
+//!    relation first appears. Two regimes share that one code path:
+//!    [`SweepConfig::exact_classes`] makes each rank its own site and
+//!    every pair its own class, so the sweep *is* the exhaustive §IV-A
+//!    sweep, measurement for measurement under the same sub-seeds;
+//!    otherwise the site is the core's socket and topology features
 //!    (link class, hop signature, socket relation, noise regime) group
 //!    pairs, the generalization of §IV-B's one-pair-per-link-class
 //!    shortcut;
@@ -31,8 +36,9 @@
 //!    worker fleet ([`crate::distrib`]) interchangeably;
 //! 3. **scatter** — class estimates are written into a
 //!    [`CompressedCostModel`] class grid, tile-at-a-time under a memory
-//!    budget ([`crate::scatter`]). `model.to_dense()` gives the full
-//!    `|P|²` matrices when a caller needs them.
+//!    budget ([`crate::scatter`]), each cell's class read from the
+//!    classing's table ([`PairClassing::class_of`]). `model.to_dense()`
+//!    gives the full `|P|²` matrices when a caller needs them.
 //!
 //! Everything is seed-deterministic: descriptors carry their noise
 //! sub-seed, representatives and probes are chosen by deterministic scan
@@ -433,16 +439,8 @@ pub fn measure_profile_compressed(
             needed,
         }));
     }
-    let (m, report) = measure_classes(machine, &cores, &classing, extractor, noise, cfg, executor)?;
-    let (model, spill_report) = scatter_compressed_tiles(
-        machine,
-        &cores,
-        &classing,
-        extractor,
-        cfg.profiling.symmetric,
-        &m,
-        spill,
-    )?;
+    let (m, report) = measure_classes(&cores, &classing, noise, cfg, executor)?;
+    let (model, spill_report) = scatter_compressed_tiles(&classing, &m, spill)?;
     Ok((model, report, spill_report))
 }
 
@@ -585,10 +583,8 @@ fn run_batch(
 /// materialization is the scatter phase's job, so this function's memory
 /// footprint is independent of `P²`.
 pub(crate) fn measure_classes(
-    machine: &MachineSpec,
     cores: &[usize],
     classing: &PairClassing,
-    extractor: &dyn PairFeatureExtractor,
     noise: NoiseModel,
     cfg: &SweepConfig,
     executor: &mut dyn DescriptorExecutor,
@@ -698,26 +694,18 @@ pub(crate) fn measure_classes(
         let mut descriptors = Vec::new();
         let mut keys: Vec<(bool, usize, usize)> = Vec::new();
         for i in 0..p {
-            let range: Box<dyn Iterator<Item = usize>> = if cfg.profiling.symmetric {
-                Box::new((i + 1)..p)
+            let js = if classing.is_symmetric() {
+                i + 1..p
             } else {
-                Box::new((0..p).filter(move |&j| j != i))
+                0..p
             };
-            for j in range {
-                let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
-                let c = classing
-                    .pair_class_index(&f)
-                    .expect("explosion features must re-derive a seen class");
-                if explode_pair[c] {
+            for j in js {
+                if j != i && explode_pair[classing.class_of(i, j)] {
                     descriptors.push(pair_work(descriptors.len(), (i, j), cores, seed, 1));
                     keys.push((false, i, j));
                 }
             }
-            let f = extractor.rank_features(machine, i, cores[i]);
-            let c = classing
-                .diag_class_index(&f)
-                .expect("explosion features must re-derive a seen diag class");
-            if explode_diag[c] {
+            if explode_diag[classing.diag_class_of(i)] {
                 descriptors.push(diag_work(descriptors.len(), i, cores, seed, 1));
                 keys.push((true, i, i));
             }

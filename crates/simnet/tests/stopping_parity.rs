@@ -14,22 +14,36 @@
 //! explosion valve at zero tolerance, and an asymmetric sweep — so the
 //! numbers outlive any refactor of the code that produces them. Each
 //! fingerprint covers both cost matrices and the measurement count.
+//!
+//! The last test pins the classing and the scattered class grid at the
+//! `pipeline-4096` shape (P = 4096), where every class has millions of
+//! members and the probe reservoir runs far past its capacity.
 
+use hbar_core::clustering::{classify_pairs, ClassingConfig};
 use hbar_simnet::profiling::ProfilingConfig;
-use hbar_simnet::sweep::{SweepConfig, SweepReport};
-use hbar_simnet::{measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig};
+use hbar_simnet::sweep::{noise_regime_of, SweepConfig, SweepReport};
+use hbar_simnet::{
+    measure_profile_compressed, DescriptorExecutor, LocalExecutor, NoiseModel, PairSample,
+    PairWorkDescriptor, SpillConfig, SweepError,
+};
 use hbar_topo::cost::CostMatrices;
+use hbar_topo::features::TopologyExtractor;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 
-/// FNV-1a over the little-endian bytes of `words`.
-fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+/// FNV-1a over `bytes`.
+fn fnv1a_bytes(bytes: impl Iterator<Item = u8>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in words.flat_map(u64::to_le_bytes) {
+    for byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    fnv1a_bytes(words.flat_map(u64::to_le_bytes))
 }
 
 /// The bit patterns of both cost matrices, row-major O then L.
@@ -216,3 +230,92 @@ const GOLDEN_DEFAULT_P64: u64 = 917039256779189915;
 const GOLDEN_EXPLODE_P16: u64 = 9197574297472494434;
 const GOLDEN_ASYM_EXACT_P8: u64 = 2211033263937631309;
 const GOLDEN_ASYM_FAST_P8: u64 = 12723387879333297626;
+
+/// Answers every descriptor with the same `(O, L)`: no class ever shows
+/// scatter, so nothing grows or explodes and the scattered grid is the
+/// classing itself.
+struct ConstantExecutor;
+
+impl DescriptorExecutor for ConstantExecutor {
+    fn execute_batch(
+        &mut self,
+        descriptors: &[PairWorkDescriptor],
+    ) -> Result<Vec<PairSample>, SweepError> {
+        Ok(descriptors
+            .iter()
+            .map(|d| PairSample {
+                id: d.id,
+                o: 1e-6,
+                l: 1e-7,
+            })
+            .collect())
+    }
+}
+
+/// The `pipeline-4096` shape: 512 dual-quad nodes, block placement, the
+/// realistic noise regime and the default classing policy. The pin covers
+/// every class's representative, probes and member count, then the grid
+/// bytes the sweep scatters.
+#[test]
+fn pipeline_4096_classing_and_grid_match_pinned_bytes() {
+    let machine = MachineSpec::new(512, 2, 4);
+    let p = 4096;
+    let noise = NoiseModel::realistic(7);
+    let cfg = SweepConfig::default();
+    let cores = RankMapping::Block.place(&machine, p);
+    let classing = classify_pairs(
+        &machine,
+        &cores,
+        p,
+        &TopologyExtractor::with_noise_regime(noise_regime_of(&noise)),
+        &ClassingConfig {
+            symmetric: cfg.profiling.symmetric,
+            probes_per_class: cfg.probes_per_class,
+            probe_seed: cfg.probe_seed,
+        },
+    );
+    assert_eq!(
+        (classing.pair_classes.len(), classing.diag_classes.len()),
+        (4, 2)
+    );
+    let mut words = Vec::new();
+    for class in &classing.pair_classes {
+        let (i, j) = class.representative;
+        words.extend([u64::from(i), u64::from(j), class.members as u64]);
+        words.extend(
+            class
+                .probes
+                .iter()
+                .flat_map(|&(i, j)| [u64::from(i), u64::from(j)]),
+        );
+    }
+    for class in &classing.diag_classes {
+        words.extend([u64::from(class.representative), class.members as u64]);
+        words.extend(class.probes.iter().map(|&i| u64::from(i)));
+    }
+
+    let spill = SpillConfig::in_memory(std::env::temp_dir().join("hbar_pipeline_4096_unused"));
+    let (model, _, _) = measure_profile_compressed(
+        &machine,
+        &RankMapping::Block,
+        p,
+        noise,
+        &cfg,
+        &spill,
+        &mut ConstantExecutor,
+    )
+    .expect("local sweep is infallible below the class limit");
+    let bytes = words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .chain(model.grid().iter().flat_map(|c| c.to_le_bytes()));
+    assert_eq!(
+        fnv1a_bytes(bytes),
+        GOLDEN_PIPELINE_4096,
+        "classing or grid at the pipeline-4096 shape diverged from its pin"
+    );
+}
+
+/// Recorded before classing moved to per-rank sites, when every pair's
+/// features were hashed during classing and again during the scatter.
+const GOLDEN_PIPELINE_4096: u64 = 6393992219595303460;

@@ -107,6 +107,21 @@ pub struct CompressedCostModel {
     fingerprint: u64,
 }
 
+/// Whether the row-major `p × p` grid equals its transpose, compared one
+/// pair of mirrored `TILE × TILE` tiles at a time so both reads stay in
+/// cache.
+fn grid_is_symmetric(p: usize, grid: &[u16]) -> bool {
+    const TILE: usize = 64;
+    (0..p).step_by(TILE).all(|ti| {
+        (ti..p).step_by(TILE).all(|tj| {
+            (ti..(ti + TILE).min(p)).all(|i| {
+                let row = &grid[i * p..(i + 1) * p];
+                (tj.max(i + 1)..(tj + TILE).min(p)).all(|j| row[j] == grid[j * p + i])
+            })
+        })
+    })
+}
+
 impl CompressedCostModel {
     /// Builds from an explicit grid and value tables — the sweep's
     /// constructor, which assembles the grid tile-at-a-time from
@@ -133,19 +148,18 @@ impl CompressedCostModel {
         }
         let mut on_diag = vec![false; classes];
         let mut off_diag = vec![false; classes];
-        for (cell, &c) in grid.iter().enumerate() {
-            let class = c as usize;
-            if class >= classes {
+        // `max(1)`: a `p = 0` grid is empty and has no rows to walk.
+        for (i, row) in grid.chunks_exact(p.max(1)).enumerate() {
+            if let Some(j) = row.iter().position(|&c| c as usize >= classes) {
                 return Err(CompressError::ClassOutOfRange {
-                    cell,
-                    class: c,
+                    cell: i * p + j,
+                    class: row[j],
                     classes,
                 });
             }
-            if cell / p == cell % p {
-                on_diag[class] = true;
-            } else {
-                off_diag[class] = true;
+            on_diag[row[i] as usize] = true;
+            for &c in row[..i].iter().chain(&row[i + 1..]) {
+                off_diag[c as usize] = true;
             }
         }
         if let Some(class) = (0..classes).find(|&c| on_diag[c] && off_diag[c]) {
@@ -153,7 +167,7 @@ impl CompressedCostModel {
                 class: class as u16,
             });
         }
-        let symmetric = (0..p).all(|i| (i + 1..p).all(|j| grid[i * p + j] == grid[j * p + i]));
+        let symmetric = grid_is_symmetric(p, &grid);
         let fingerprint = Self::stream_fingerprint(p, &grid, &table_o, &table_l);
         Ok(CompressedCostModel {
             p,

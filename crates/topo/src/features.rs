@@ -79,9 +79,22 @@ pub struct RankFeatures {
 /// Pluggable feature extraction over a machine's core pairs.
 ///
 /// Implementations must be deterministic pure functions of
-/// `(machine, cores)`: the clustered sweep calls them twice (classing and
-/// scatter) and relies on both passes agreeing.
+/// `(machine, cores)` that **factor through per-rank sites**: each rank
+/// has a site id ([`PairFeatureExtractor::site`]), and
+///
+/// * `pair_features(i, j)` depends only on `(site_i, site_j,
+///   node_i == node_j)`;
+/// * `rank_features(i)` depends only on `site_i`.
+///
+/// Classing relies on this contract: it computes the `P` sites once and
+/// asks for features only the first time a `(site_i, site_j, same_node)`
+/// relation appears, so a homogeneous machine costs a handful of
+/// feature calls however many ranks it has. Site ids need not be dense.
 pub trait PairFeatureExtractor: Sync {
+    /// Site of the rank on `core`: the per-rank attribute its features
+    /// are a function of.
+    fn site(&self, machine: &MachineSpec, rank: usize, core: usize) -> u32;
+
     /// Features of the ordered pair `(rank_i on core_a, rank_j on core_b)`.
     /// `ranks` are provided for extractors that refine by rank identity.
     fn pair_features(
@@ -100,7 +113,8 @@ pub trait PairFeatureExtractor: Sync {
 
 /// The default extractor: classes pairs by interconnect topology alone
 /// (link class, hop signature, socket relation), so a homogeneous machine
-/// collapses `|P|²` pairs into a handful of classes.
+/// collapses `|P|²` pairs into a handful of classes. A rank's site is its
+/// core's socket index within the node.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TopologyExtractor {
     /// Noise regime stamped into every feature vector (see
@@ -116,6 +130,10 @@ impl TopologyExtractor {
 }
 
 impl PairFeatureExtractor for TopologyExtractor {
+    fn site(&self, machine: &MachineSpec, _rank: usize, core: usize) -> u32 {
+        machine.core(core).socket as u32
+    }
+
     fn pair_features(
         &self,
         machine: &MachineSpec,
@@ -166,7 +184,7 @@ impl PairFeatureExtractor for TopologyExtractor {
 /// The degenerate extractor: every pair (and every diagonal) is its own
 /// class, so the clustered sweep performs exactly the exhaustive sweep's
 /// measurements. This is the regime where clustered and exhaustive
-/// profiles must agree bit-for-bit.
+/// profiles must agree bit-for-bit. A rank's site is the rank itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactExtractor {
     /// Noise regime stamped into every feature vector.
@@ -174,6 +192,10 @@ pub struct ExactExtractor {
 }
 
 impl PairFeatureExtractor for ExactExtractor {
+    fn site(&self, _machine: &MachineSpec, rank: usize, _core: usize) -> u32 {
+        rank as u32
+    }
+
     fn pair_features(
         &self,
         machine: &MachineSpec,
