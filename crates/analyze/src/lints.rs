@@ -4,7 +4,7 @@
 
 use crate::diag::{Code, Diagnostic, Severity};
 use crate::AnalyzeConfig;
-use hbar_core::schedule::BarrierSchedule;
+use hbar_core::schedule::{BarrierSchedule, CompiledStage};
 use hbar_core::verify;
 use hbar_matrix::ClosureWorkspace;
 use hbar_topo::cost::SendMode;
@@ -20,6 +20,9 @@ pub(crate) fn lint_schedule(
 ) -> bool {
     let n = schedule.n();
     let mut well_formed = true;
+    // Every pass walks signals through the schedule's cached CSR stages,
+    // never by scanning a stage matrix.
+    let compiled = schedule.compiled();
     for (si, stage) in schedule.stages().iter().enumerate() {
         if stage.matrix.n() != n {
             out.push(
@@ -38,9 +41,9 @@ pub(crate) fn lint_schedule(
             continue;
         }
         let mut signals = 0usize;
-        for (i, j) in stage.matrix.edges() {
-            signals += 1;
-            if i == j {
+        for (i, targets) in compiled[si].sends() {
+            signals += targets.len();
+            if targets.contains(&i) {
                 out.push(
                     Diagnostic::new(
                         Code::SelfSignal,
@@ -68,18 +71,18 @@ pub(crate) fn lint_schedule(
         return false;
     }
 
-    // Knowledge trace: states[s] is the knowledge matrix *before* stage s
-    // (states[0] = identity), states[len] the final knowledge.
+    // Knowledge trace: `trace.knows(s, j, i)` is "j knows of i's arrival
+    // before stage s"; state `trace.stages()` is the final knowledge.
     let trace = verify::trace(schedule);
+    let last = trace.stages();
 
     // A005: not a barrier.
-    let last = trace.last();
-    if !last.is_all_true() {
+    if !trace.is_barrier() {
         let mut witnesses = Vec::new();
         let mut missing = 0usize;
         for i in 0..n {
             for j in 0..n {
-                if !last.get(i, j) {
+                if !trace.knows(last, j, i) {
                     missing += 1;
                     if witnesses.len() < 3 {
                         witnesses.push(format!("{j} never learns of {i}'s arrival"));
@@ -104,14 +107,12 @@ pub(crate) fn lint_schedule(
 
     // A004 / A006: mode soundness against the closure trace. A departure
     // (Eq. 2) signal i -> j is sound iff the sender can *know* the
-    // receiver already arrived: K[j][i] before the stage — i's knowledge
-    // (column i) includes j's arrival (row j).
+    // receiver already arrived: before the stage, i knows of j's arrival.
     for (si, stage) in schedule.stages().iter().enumerate() {
-        let before = &trace.states[si];
         match stage.mode {
             SendMode::ReceiversAwaiting => {
-                for (i, j) in stage.matrix.edges() {
-                    if !before.get(j, i) {
+                for (i, j) in signals_of(&compiled[si]) {
+                    if !trace.knows(si, i, j) {
                         out.push(
                             Diagnostic::new(
                                 Code::ModeUnsound,
@@ -131,9 +132,9 @@ pub(crate) fn lint_schedule(
             }
             SendMode::General if cfg.strict_modes => {
                 let mut any = false;
-                let all_awaiting = stage.matrix.edges().all(|(i, j)| {
+                let all_awaiting = signals_of(&compiled[si]).all(|(i, j)| {
                     any = true;
-                    before.get(j, i)
+                    trace.knows(si, i, j)
                 });
                 if any && all_awaiting {
                     out.push(
@@ -153,18 +154,14 @@ pub(crate) fn lint_schedule(
 
     // A003: dead signals. A signal is dead when excluding it from the
     // closure leaves the final knowledge matrix unchanged — the rest of
-    // the schedule already delivers everything it carries.
+    // the schedule already delivers everything it carries. Both matrices
+    // are receiver-major.
     if cfg.dead_signals {
         let full = trace.last();
         let mut ws = ClosureWorkspace::new();
-        for (si, stage) in schedule.stages().iter().enumerate() {
-            for (i, j) in stage.matrix.edges() {
-                let reduced = ws.closure_excluding(
-                    n,
-                    schedule.stages().iter().map(|s| &s.matrix),
-                    si,
-                    (i, j),
-                );
+        for (si, stage) in compiled.iter().enumerate() {
+            for (i, j) in signals_of(stage) {
+                let reduced = ws.closure_excluding(n, compiled, si, (i, j));
                 if reduced == full {
                     out.push(
                         Diagnostic::new(
@@ -184,6 +181,13 @@ pub(crate) fn lint_schedule(
         }
     }
     true
+}
+
+/// Every signal `(i, j)` of a compiled stage, in row-major order.
+fn signals_of(stage: &CompiledStage) -> impl Iterator<Item = (usize, usize)> + '_ {
+    stage
+        .sends()
+        .flat_map(|(i, targets)| targets.iter().map(move |&j| (i, j)))
 }
 
 #[cfg(test)]

@@ -181,7 +181,7 @@ fn flipped_mode_mutants_match_the_knowledge_oracle() {
                 let eq2_ok = schedule.stages()[si]
                     .matrix
                     .edges()
-                    .all(|(i, j)| trace.states[si].get(j, i));
+                    .all(|(i, j)| trace.knows(si, i, j));
                 match schedule.stages()[si].mode {
                     SendMode::General => {
                         // Now claims ReceiversAwaiting.

@@ -223,6 +223,24 @@ pub fn baseline_knowledge_closure(n: usize, stages: &[BaselineBitMat]) -> Baseli
     k
 }
 
+/// Per-stage Eq. 3 trace as `KnowledgeTrace::recompute` ran it before
+/// the receiver-major kernel: every state a full `K` (`K[i][j]`: j knows
+/// i), each one a copy of its predecessor with the blocked product
+/// `K_{a-1}·S_a` accumulated on top. Reuses the matrices `states` holds
+/// from a previous call, as the original did; afterwards `states[0]` is
+/// the identity and `states[a + 1]` the knowledge after stage `a`.
+pub fn baseline_knowledge_trace(n: usize, stages: &[BoolMatrix], states: &mut Vec<BoolMatrix>) {
+    states.resize_with(stages.len() + 1, || BoolMatrix::zeros(0));
+    states[0].reset_identity(n);
+    for (a, s) in stages.iter().enumerate() {
+        assert_eq!(s.n(), n, "stage dimension {} != {}", s.n(), n);
+        let (prev, next) = states.split_at_mut(a + 1);
+        let (k, out) = (&prev[a], &mut next[0]);
+        out.copy_from(k);
+        k.and_or_accumulate_into(s, out);
+    }
+}
+
 /// Original SSS scan: each point recomputes its distance to every
 /// existing center via `min_by` — O(P·k) distance evaluations *per point*.
 pub fn baseline_sss_clusters(
@@ -260,7 +278,7 @@ pub fn baseline_sss_clusters(
 mod tests {
     use super::*;
     use hbar_core::clustering::{sss_clusters, SSS_DEFAULT_SPARSENESS};
-    use hbar_matrix::knowledge_closure;
+    use hbar_matrix::{knowledge_closure, knowledge_steps};
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
     use hbar_topo::profile::TopologyProfile;
@@ -297,6 +315,24 @@ mod tests {
             let opt = knowledge_closure(n, &stages);
             assert_eq!(base.to_matrix(), opt, "n={n}");
             assert_eq!(base.is_all_true(), opt.is_all_true(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn frozen_trace_is_the_transposed_receiver_major_trace() {
+        for n in [1usize, 6, 65, 130] {
+            let stages = dissemination(n);
+            let mut states = Vec::new();
+            baseline_knowledge_trace(n, &stages, &mut states);
+            let trace = knowledge_steps(n, &stages);
+            assert_eq!(states.len(), trace.stages() + 1, "n={n}");
+            for (a, k) in states.iter().enumerate() {
+                for i in 0..n {
+                    for j in 0..n {
+                        assert_eq!(k.get(i, j), trace.knows(a, j, i), "n={n} state {a}");
+                    }
+                }
+            }
         }
     }
 

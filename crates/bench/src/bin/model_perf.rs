@@ -1,32 +1,36 @@
 //! Model-kernel performance regression harness.
 //!
-//! Times the optimized algorithmic-model kernels — the blocked/scatter
-//! Eq. 3 knowledge closure (`ClosureWorkspace`) and the maintained-array
-//! SSS clustering — against the frozen pre-optimization copies in
+//! Times the optimized algorithmic-model kernels — the receiver-major
+//! Eq. 3 knowledge closure (`ClosureWorkspace`), the per-stage knowledge
+//! trace (`KnowledgeTrace::recompute`) and the maintained-array SSS
+//! clustering — against the frozen pre-optimization copies in
 //! `hbar_bench::baseline_model` across rank counts, asserts bit-parity on
-//! every output (closures, cluster assignments, and tuned schedules), and
-//! writes interval estimates (median + 95% nonparametric CI, adaptive rep
-//! counts) and a reproducibility manifest to `BENCH_model.json`.
+//! every output (closures, every trace state, cluster assignments, and
+//! tuned schedules), and writes interval estimates (median + 95%
+//! nonparametric CI, adaptive rep counts) and a reproducibility manifest
+//! to `BENCH_model.json`.
 //!
 //! ```text
 //! model-perf [--out FILE] [--reps N] [--quick]
 //! ```
 //!
 //! `--quick` restricts the sweep to P = 64/256 for CI smoke runs (the
-//! full sweep adds P = 1024) and shrinks the adaptive rep budget.
+//! full sweep adds P = 1024 and, for the closure and the trace, P = 4096)
+//! and shrinks the adaptive rep budget.
 
 use hbar_bench::baseline::tune_hybrid_costs_baseline;
 use hbar_bench::baseline_model::{
-    baseline_knowledge_closure, baseline_sss_clusters, BaselineBitMat,
+    baseline_knowledge_closure, baseline_knowledge_trace, baseline_sss_clusters, BaselineBitMat,
 };
 use hbar_bench::perf_cli::PerfArgs;
 use hbar_bench::stats::{
     ratio_interval, time_estimate, Estimate, EstimatorSettings, Interval, RunManifest,
 };
+use hbar_core::algorithms::Algorithm;
 use hbar_core::clustering::{try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARSENESS};
 use hbar_core::compose::{tune_hybrid_costs_with, TunerConfig};
 use hbar_core::cost::CostEvaluator;
-use hbar_matrix::{BoolMatrix, ClosureWorkspace};
+use hbar_matrix::{BoolMatrix, ClosureWorkspace, KnowledgeTrace};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::metric::DistanceMetric;
@@ -88,13 +92,16 @@ fn main() {
     let ranks: &[usize] = if args.quick {
         &[64, 256]
     } else {
-        &[64, 256, 1024]
+        &[64, 256, 1024, 4096]
     };
 
     let mut closure_rows = Vec::new();
+    let mut trace_rows = Vec::new();
     let mut cluster_rows = Vec::new();
     let mut tune_parity = Vec::new();
     let mut ws = ClosureWorkspace::new();
+    let mut trace = KnowledgeTrace::new();
+    let mut base_states = Vec::new();
     let mut scratch = SssScratch::default();
 
     println!(
@@ -105,7 +112,8 @@ fn main() {
         let batch = match p {
             0..=127 => 20,
             128..=511 => 8,
-            _ => 2,
+            512..=2047 => 2,
+            _ => 1,
         };
 
         // --- Eq. 3 knowledge closure over a dissemination schedule. ---
@@ -153,11 +161,81 @@ fn main() {
         entries.extend(row_entries(&before, &after, speedup, speedup_ci));
         closure_rows.push(obj(entries));
 
+        // --- Per-stage knowledge trace over the tree barrier (arrival
+        // then departure), whose sparse stages are the shape the tuner
+        // emits. The baseline keeps `K[i][j]` = "j knows i"; the trace is
+        // receiver-major, so every state is compared with the baseline's
+        // transpose, bit by bit.
+        let members: Vec<usize> = (0..p).collect();
+        let tree: Vec<BoolMatrix> = Algorithm::Tree
+            .full_schedule(p, &members)
+            .stages()
+            .iter()
+            .map(|s| s.matrix.clone())
+            .collect();
+        baseline_knowledge_trace(p, &tree, &mut base_states);
+        trace.recompute(p, &tree);
+        assert_eq!(
+            base_states.len(),
+            trace.stages() + 1,
+            "trace length at p={p}"
+        );
+        for (a, k) in base_states.iter().enumerate() {
+            for i in 0..p {
+                for j in 0..p {
+                    assert_eq!(
+                        k.get(i, j),
+                        trace.knows(a, j, i),
+                        "trace state {a} diverged at p={p}"
+                    );
+                }
+            }
+        }
+
+        let before = time_estimate(&adaptive, batch, || {
+            baseline_knowledge_trace(p, black_box(&tree), &mut base_states);
+        });
+        let after = time_estimate(&adaptive, batch, || {
+            trace.recompute(p, black_box(&tree));
+        });
+        let speedup = before.median / after.median;
+        let speedup_ci = ratio_interval(&before, &after);
+        println!(
+            "{:>10} {:>6} {:>12.3}ms {:>12.3}ms {:>7.2}x [{:>6.2}, {:>6.2}] {:>3}/{:<3}",
+            "trace",
+            p,
+            before.median * 1e3,
+            after.median * 1e3,
+            speedup,
+            speedup_ci.lo,
+            speedup_ci.hi,
+            before.n,
+            after.n
+        );
+        let mut entries = vec![
+            ("ranks", Value::UInt(p as u64)),
+            ("stages", Value::UInt(tree.len() as u64)),
+            (
+                "before_per_stage_s",
+                Value::Float(before.median / tree.len() as f64),
+            ),
+            (
+                "after_per_stage_s",
+                Value::Float(after.median / tree.len() as f64),
+            ),
+        ];
+        entries.extend(row_entries(&before, &after, speedup, speedup_ci));
+        trace_rows.push(obj(entries));
+
+        // The SSS rows need a dense P² metric; they stop at P = 1024.
+        if p > 1024 {
+            continue;
+        }
+
         // --- SSS clustering over a two-level machine metric. ---
         let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
         let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
         let metric = DistanceMetric::from_costs(&profile.cost);
-        let members: Vec<usize> = (0..p).collect();
         let dia = metric.diameter();
 
         let base_clusters = baseline_sss_clusters(&metric, &members, SSS_DEFAULT_SPARSENESS, dia);
@@ -228,8 +306,9 @@ fn main() {
     let manifest = RunManifest::capture(
         "model_kernels",
         0, // deterministic kernels over ground-truth inputs, no noise
-        "dissemination-stage closure + SSS over ground-truth metrics; samples \
-         average size-scaled batches (20/8/2 calls at P=64/256/1024)",
+        "dissemination-stage closure, tree-barrier trace + SSS over \
+         ground-truth metrics; samples average size-scaled batches \
+         (20/8/2/1 calls at P=64/256/1024/4096)",
         "P/8 dual quad-core nodes, round-robin mapping",
         EstimatorSettings::for_adaptive(&adaptive),
     );
@@ -241,6 +320,7 @@ fn main() {
             Value::Str(
                 "frozen pre-optimization kernels (hbar_bench::baseline_model): \
                  per-set-bit row-OR product, allocating per-stage closure, \
+                 dense per-stage product trace (one K matrix per state), \
                  min_by SSS over recomputed distances"
                     .to_string(),
             ),
@@ -248,8 +328,10 @@ fn main() {
         (
             "after",
             Value::Str(
-                "ClosureWorkspace: CSR scatter/row-OR adaptive Eq. 3 with \
-                 row-saturation early exit; SSS with maintained \
+                "receiver-major Eq. 3 (ClosureWorkspace / KnowledgeTrace): \
+                 per signal i -> j, OR snapshot row i into row j; full rows \
+                 skipped, early exit once all are full; the trace records \
+                 only the rows each stage changed. SSS with maintained \
                  nearest-center arrays over contiguous metric rows"
                     .to_string(),
             ),
@@ -268,6 +350,7 @@ fn main() {
             ),
         ),
         ("closure", Value::Array(closure_rows)),
+        ("trace", Value::Array(trace_rows)),
         ("clustering", Value::Array(cluster_rows)),
         ("tune_parity_ranks", Value::Array(tune_parity)),
     ]);

@@ -127,6 +127,8 @@ pub fn compile_schedule(schedule: &BarrierSchedule) -> Result<Vec<RankProgram>, 
             steps: Vec::new(),
         })
         .collect();
+    let compiled = schedule.compiled();
+    let mut steps: Vec<RankStep> = vec![RankStep::default(); n];
     for (stage_idx, stage) in schedule.stages().iter().enumerate() {
         if stage.matrix.n() != n {
             return Err(CodegenError::StageDimension {
@@ -141,15 +143,17 @@ pub fn compile_schedule(schedule: &BarrierSchedule) -> Result<Vec<RankProgram>, 
                 rank,
             });
         }
-        // Gather per-rank sends and receives for this stage.
-        let mut steps: Vec<RankStep> = vec![RankStep::default(); n];
-        for (i, j) in stage.matrix.edges() {
-            steps[i].sends.push(j);
-            steps[j].recvs.push(i);
+        // Gather per-rank sends and receives for this stage from the
+        // cached CSR; senders ascend, so every receive list does too.
+        for (i, targets) in compiled[stage_idx].sends() {
+            steps[i].sends.extend_from_slice(targets);
+            for &j in targets {
+                steps[j].recvs.push(i);
+            }
         }
-        for (rank, step) in steps.into_iter().enumerate() {
+        for (program, step) in programs.iter_mut().zip(&mut steps) {
             if !step.is_empty() {
-                programs[rank].steps.push(step);
+                program.steps.push(std::mem::take(step));
             }
         }
     }

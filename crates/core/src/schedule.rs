@@ -10,7 +10,7 @@
 //! be computing), departure phases use Eq. 2 (receivers are known to block
 //! inside the barrier already).
 
-use hbar_matrix::BoolMatrix;
+use hbar_matrix::{BoolMatrix, StageSignals};
 use hbar_topo::cost::SendMode;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,6 +48,7 @@ impl Stage {
 pub struct CompiledStage {
     /// Cost equation of the source stage.
     pub mode: SendMode,
+    n: usize,
     senders: Vec<usize>,
     target_offsets: Vec<usize>,
     targets: Vec<usize>,
@@ -71,6 +72,7 @@ impl CompiledStage {
         }
         CompiledStage {
             mode: stage.mode,
+            n,
             senders,
             target_offsets,
             targets,
@@ -99,6 +101,22 @@ impl CompiledStage {
     pub fn heap_bytes(&self) -> usize {
         (self.senders.capacity() + self.target_offsets.capacity() + self.targets.capacity())
             * std::mem::size_of::<usize>()
+    }
+}
+
+/// The Eq. 3 closure reads a compiled stage's signals straight from the
+/// CSR, without scanning the stage matrix.
+impl StageSignals for CompiledStage {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn for_each_signal<F: FnMut(usize, usize)>(&self, mut f: F) {
+        for (i, targets) in self.sends() {
+            for &j in targets {
+                f(i, j);
+            }
+        }
     }
 }
 

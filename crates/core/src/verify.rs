@@ -3,6 +3,10 @@
 //! "The signal pattern encoded in the sequence S₀, S₁, …, S_k represents a
 //! barrier if and only if all elements of K_k are non-zero" (§V-A), where
 //! `K_a = K_{a-1} + K_{a-1} · S_a` starting from the identity.
+//!
+//! Every entry point feeds the closure from [`BarrierSchedule::compiled`],
+//! the schedule's cached CSR stages, so it walks the signals without
+//! scanning a stage matrix.
 
 use crate::schedule::BarrierSchedule;
 #[cfg(test)]
@@ -17,7 +21,7 @@ pub fn is_barrier(schedule: &BarrierSchedule) -> bool {
 /// Allocation-free [`is_barrier`] against a caller-owned workspace, with
 /// early exit once every row of the knowledge matrix saturates.
 pub fn is_barrier_with(schedule: &BarrierSchedule, ws: &mut ClosureWorkspace) -> bool {
-    ws.is_barrier(schedule.n(), schedule.stages().iter().map(|s| &s.matrix))
+    ws.is_barrier(schedule.n(), schedule.compiled())
 }
 
 /// The full per-stage knowledge trace of a schedule.
@@ -28,10 +32,10 @@ pub fn trace(schedule: &BarrierSchedule) -> KnowledgeTrace {
 }
 
 /// Reusable-buffer mode of [`trace`]: recomputes the trace into `t`,
-/// reusing every state matrix a previous trace left behind (and never
-/// cloning the schedule's stage matrices).
+/// reusing the buffers a previous trace left behind (and never cloning
+/// the schedule's stage matrices).
 pub fn trace_into(schedule: &BarrierSchedule, t: &mut KnowledgeTrace) {
-    t.recompute(schedule.n(), schedule.stages().iter().map(|s| &s.matrix));
+    t.recompute(schedule.n(), schedule.compiled());
 }
 
 /// A human-readable explanation of why a schedule fails to be a barrier:
@@ -39,11 +43,11 @@ pub fn trace_into(schedule: &BarrierSchedule, t: &mut KnowledgeTrace) {
 /// one entry. Empty when the schedule is a valid barrier.
 pub fn missing_knowledge(schedule: &BarrierSchedule) -> Vec<(usize, usize)> {
     let k = trace(schedule);
-    let last = k.last();
+    let last = k.stages();
     let mut missing = Vec::new();
     for i in 0..schedule.n() {
         for j in 0..schedule.n() {
-            if !last.get(i, j) {
+            if !k.knows(last, j, i) {
                 missing.push((i, j));
             }
         }
@@ -66,7 +70,7 @@ pub fn synchronizes_subset_with(
     members: &[usize],
     ws: &mut ClosureWorkspace,
 ) -> bool {
-    let last = ws.closure(schedule.n(), schedule.stages().iter().map(|s| &s.matrix));
+    let last = ws.closure(schedule.n(), schedule.compiled());
     members
         .iter()
         .all(|&i| members.iter().all(|&j| last.get(i, j)))

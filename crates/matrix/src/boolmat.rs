@@ -1,11 +1,10 @@
 //! Bitset-backed square boolean matrices.
 //!
-//! Rows are stored as contiguous `u64` words, so the and/or product that
-//! drives barrier verification reduces to word-wise OR of whole rows: for
-//! each set bit `(i, k)` of the left operand, row `k` of the right operand
-//! is OR-ed into row `i` of the result. For the `P ≤ 128` scales evaluated
-//! in the paper a row is one or two words, making verification effectively
-//! linear in the number of signals.
+//! Rows are stored as contiguous `u64` words, so the and/or product
+//! reduces to word-wise OR of whole rows: for each set bit `(i, k)` of the
+//! left operand, row `k` of the right operand is OR-ed into row `i` of the
+//! result. Barrier verification uses the same row ORs, one per signal, in
+//! the receiver-major closure of [`crate::reach`].
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -225,6 +224,14 @@ impl BoolMatrix {
     /// matrices) are skipped after the gather.
     pub fn transpose(&self) -> Self {
         let mut t = Self::zeros(self.n);
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`BoolMatrix::transpose`] into a caller-provided matrix whose
+    /// storage is reused (it is resized and cleared first).
+    pub fn transpose_into(&self, t: &mut Self) {
+        t.reset_zeros(self.n);
         let wpr = self.words_per_row;
         let word_blocks = self.n.div_ceil(64);
         let mut tile = [0u64; 64];
@@ -250,7 +257,6 @@ impl BoolMatrix {
                 }
             }
         }
-        t
     }
 
     /// Saturating (boolean OR) sum: `self | other`.
@@ -428,12 +434,6 @@ impl BoolMatrix {
         for i in 0..n {
             self.bits[i * self.words_per_row + i / 64] |= 1 << (i % 64);
         }
-    }
-
-    /// Words-per-row stride of the packed representation.
-    #[inline]
-    pub(crate) fn words_per_row(&self) -> usize {
-        self.words_per_row
     }
 
     /// Mutable borrow of row `i`'s words.

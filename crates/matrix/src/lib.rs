@@ -24,4 +24,6 @@ pub mod reach;
 
 pub use boolmat::BoolMatrix;
 pub use dense::DenseMatrix;
-pub use reach::{knowledge_closure, knowledge_steps, ClosureWorkspace, KnowledgeTrace};
+pub use reach::{
+    knowledge_closure, knowledge_steps, ClosureWorkspace, KnowledgeTrace, StageSignals,
+};

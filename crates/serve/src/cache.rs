@@ -12,6 +12,7 @@
 //! insert). Eviction pops the least-recently-used entry until both
 //! budgets hold again, always keeping at least the entry being inserted.
 
+use crate::lock;
 use crate::proto::CacheKey;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -214,29 +215,26 @@ impl<V: Clone> ShardedCache<V> {
 
     /// Looks `key` up, refreshing its recency on hit.
     pub fn get(&self, key: &CacheKey) -> Option<V> {
-        self.shard(key).lock().expect("shard lock").get(key)
+        lock(self.shard(key)).get(key)
     }
 
     /// Looks `key` up without touching recency — the double-check under
     /// the in-flight lock uses this so probing cannot perturb LRU order.
     pub fn peek(&self, key: &CacheKey) -> Option<V> {
-        self.shard(key).lock().expect("shard lock").peek(key)
+        lock(self.shard(key)).peek(key)
     }
 
     /// Inserts (or refreshes) `key`, charging `weight` approximate
     /// bytes, then evicts LRU entries until the shard's budgets hold.
     pub fn insert(&self, key: CacheKey, value: V, weight: usize) {
-        self.shard(&key)
-            .lock()
-            .expect("shard lock")
-            .insert(key, value, weight);
+        lock(self.shard(&key)).insert(key, value, weight);
     }
 
     /// Aggregated counters (takes every shard lock in turn).
     pub fn counters(&self) -> CacheCounters {
         let mut c = CacheCounters::default();
         for shard in &self.shards {
-            let s = shard.lock().expect("shard lock");
+            let s = lock(shard);
             c.entries += s.map.len() as u64;
             c.bytes += s.bytes as u64;
             c.evictions += s.evictions;
@@ -336,5 +334,23 @@ mod tests {
         let c = cache.counters();
         assert!(c.entries > 0 && c.entries <= 64);
         assert_eq!(c.bytes, c.entries * 100);
+    }
+
+    #[test]
+    fn poisoned_shard_keeps_serving() {
+        let cache = single_shard(4, usize::MAX);
+        cache.insert(key(0), 0, 10);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = cache.shards[0].lock().unwrap();
+            panic!("request handler panicked while holding the shard");
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.shards[0].is_poisoned());
+        assert_eq!(cache.get(&key(0)), Some(0));
+        cache.insert(key(1), 1, 10);
+        assert_eq!(cache.peek(&key(1)), Some(1));
+        // The STATS frame reads these counters.
+        let c = cache.counters();
+        assert_eq!((c.entries, c.bytes, c.evictions), (2, 20, 0));
     }
 }

@@ -35,3 +35,14 @@ pub use cache::{CacheConfig, ShardedCache};
 pub use client::{shutdown_server, TuneClient, TuneReply};
 pub use proto::{CacheKey, ServeStats, TuneRequest, TuneResponse};
 pub use server::{serve, ServeConfig, ServerHandle};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard when another thread panicked while
+/// holding it. A panic in one request (a tune, a write to a dead socket)
+/// must not turn every later lock of the same cache shard, queue or
+/// connection into a second panic; each locked structure is valid
+/// between statements, so the daemon keeps serving from it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -28,6 +28,7 @@
 //! blocked in `read` and unable to flush on the waiters' behalf.
 
 use crate::cache::{CacheConfig, ShardedCache};
+use crate::lock;
 use crate::proto::{
     encode_tune_error, CacheKey, ServeStats, TuneRequest, FRAME_STATS_REQ, FRAME_STATS_RESP,
     FRAME_TUNE_ERR, FRAME_TUNE_REQ, FRAME_TUNE_RESP, REQ_WANT_CODE,
@@ -42,7 +43,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -137,7 +138,7 @@ impl Conn {
     }
 
     fn flush(&self) -> io::Result<()> {
-        self.writer.lock().expect("writer lock").w.flush()
+        lock(&self.writer).w.flush()
     }
 
     /// Encodes and writes one artifact response. Pool workers flush
@@ -151,7 +152,7 @@ impl Conn {
         want_code: bool,
         flush: bool,
     ) -> io::Result<()> {
-        let mut wr = self.writer.lock().expect("writer lock");
+        let mut wr = lock(&self.writer);
         let ConnWriter { w, scratch } = &mut *wr;
         let code: &str = if want_code { &artifact.code_c } else { "" };
         scratch.clear();
@@ -171,7 +172,7 @@ impl Conn {
     }
 
     fn respond_error(&self, id: u64, reason: &str, flush: bool) -> io::Result<()> {
-        let mut wr = self.writer.lock().expect("writer lock");
+        let mut wr = lock(&self.writer);
         let ConnWriter { w, scratch } = &mut *wr;
         encode_tune_error(id, reason, scratch);
         write_frame_buffered(w, FRAME_TUNE_ERR, scratch)?;
@@ -182,11 +183,11 @@ impl Conn {
     }
 
     fn inc_pending(&self) {
-        *self.pending.lock().expect("pending lock") += 1;
+        *lock(&self.pending) += 1;
     }
 
     fn dec_pending(&self) {
-        let mut p = self.pending.lock().expect("pending lock");
+        let mut p = lock(&self.pending);
         *p -= 1;
         if *p == 0 {
             self.pending_cv.notify_all();
@@ -198,12 +199,12 @@ impl Conn {
     /// forever).
     fn wait_pending_zero(&self) {
         let deadline = Duration::from_secs(60);
-        let mut p = self.pending.lock().expect("pending lock");
+        let mut p = lock(&self.pending);
         while *p > 0 {
             let (guard, timeout) = self
                 .pending_cv
                 .wait_timeout(p, deadline)
-                .expect("pending lock");
+                .unwrap_or_else(PoisonError::into_inner);
             p = guard;
             if timeout.timed_out() {
                 break;
@@ -331,7 +332,7 @@ fn worker_loop(shared: &Shared) {
     let mut eval = CostEvaluator::new(CostParams::default());
     loop {
         let job = {
-            let mut q = shared.queue.lock().expect("queue lock");
+            let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
@@ -339,7 +340,10 @@ fn worker_loop(shared: &Shared) {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                q = shared.queue_cv.wait(q).expect("queue lock");
+                q = shared
+                    .queue_cv
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let members: Vec<usize> = (0..job.req.cost.p()).collect();
@@ -368,12 +372,7 @@ fn worker_loop(shared: &Shared) {
                 // guaranteed to find the cache entry.
                 shared.cache.insert(job.key, Arc::clone(&artifact), weight);
                 Shared::bump(&shared.tunes);
-                let waiters = shared
-                    .inflight
-                    .lock()
-                    .expect("inflight lock")
-                    .remove(&job.key)
-                    .unwrap_or_default();
+                let waiters = lock(&shared.inflight).remove(&job.key).unwrap_or_default();
                 for w in waiters {
                     let _ = w
                         .conn
@@ -390,12 +389,7 @@ fn worker_loop(shared: &Shared) {
                     .map(String::as_str)
                     .or_else(|| panic.downcast_ref::<&str>().copied())
                     .unwrap_or("tuner panicked");
-                let waiters = shared
-                    .inflight
-                    .lock()
-                    .expect("inflight lock")
-                    .remove(&job.key)
-                    .unwrap_or_default();
+                let waiters = lock(&shared.inflight).remove(&job.key).unwrap_or_default();
                 for w in waiters {
                     Shared::bump(&shared.errors);
                     let _ = w.conn.respond_error(w.id, reason, true);
@@ -424,12 +418,12 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             FRAME_TUNE_REQ => handle_tune_request(shared, &conn, &payload)?,
             FRAME_STATS_REQ => {
                 let json = serde_json::to_string(&shared.stats()).expect("stats serialize");
-                let mut wr = conn.writer.lock().expect("writer lock");
+                let mut wr = lock(&conn.writer);
                 write_frame_buffered(&mut wr.w, FRAME_STATS_RESP, json.as_bytes())?;
             }
             FRAME_DRAIN => {
                 conn.wait_pending_zero();
-                let mut wr = conn.writer.lock().expect("writer lock");
+                let mut wr = lock(&conn.writer);
                 write_frame_buffered(&mut wr.w, FRAME_DRAIN, &[])?;
                 wr.w.flush()?;
                 return Ok(());
@@ -474,7 +468,7 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
         Shared::bump(&shared.hits);
         return conn.respond_artifact(req.id, true, &artifact, want_code, false);
     }
-    let mut inflight = shared.inflight.lock().expect("inflight lock");
+    let mut inflight = lock(&shared.inflight);
     // Double-check under the lock: the tune may have completed (and
     // published) between the probe above and acquiring the lock.
     if let Some(artifact) = shared.cache.peek(&key) {
@@ -503,11 +497,7 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
     };
     drop(inflight);
     if enqueue {
-        shared
-            .queue
-            .lock()
-            .expect("queue lock")
-            .push_back(TuneJob { key, req });
+        lock(&shared.queue).push_back(TuneJob { key, req });
         shared.queue_cv.notify_one();
     }
     Ok(())
